@@ -18,7 +18,7 @@ import numpy as np
 from .config import (ConfigError, RunConfig, build_initial, build_problem,
                      parse_config, solve_options, write_snapshot)
 from .dynamics import (NoContractionError, RegimeError, Trajectory,
-                       solve_direct, solve_rescaled)
+                       rescaled_to_X, solve_direct, solve_rescaled)
 from .identities import ALL_IDENTITIES
 from .montecarlo import (EnsembleConfig, convergence_order, martingale_test,
                          moment_monitor, run_ensemble)
@@ -33,8 +33,6 @@ def _load(args) -> RunConfig:
         cfg = replace(cfg, run=replace(cfg.run, seed=args.seed))
     if args.out is not None:
         cfg = replace(cfg, run=replace(cfg.run, out=args.out))
-    if cfg.run.threads:
-        os.environ["SNLS_THREADS"] = str(cfg.run.threads)
     return cfg
 
 
@@ -108,12 +106,14 @@ def cmd_ensemble(args) -> int:
     scheme = "direct" if cfg.scheme == "both" else cfg.scheme
     econf = EnsembleConfig(
         n_paths=cfg.run.n_paths, seed=cfg.run.seed, n_steps=cfg.n_steps,
-        scheme=scheme, options=solve_options(cfg, record_snapshots=False))
+        width=cfg.run.threads or None, scheme=scheme,
+        options=solve_options(cfg, record_snapshots=False))
     report = run_ensemble(x, spec, econf)
     report.to_csv(os.path.join(out, "ensemble.csv"))
     summary = ["command=ensemble", f"seed={cfg.run.seed}",
                f"paths={cfg.run.n_paths}",
-               f"blowup_paths={report.blowup_count}"]
+               f"blowup_paths={report.blowup_count}",
+               f"numeric_failure_paths={report.failure_count}"]
     m0 = float(report.per_path["mass"][0, 0])
     if spec.model.n_modes > 0 and cfg.run.n_paths >= 100:
         mart = martingale_test(report, m0)
@@ -132,14 +132,17 @@ def cmd_verify_identities(args) -> int:
     levels = max(1, cfg.verify.levels)
     n_paths = max(1, cfg.verify.paths)
     opts = solve_options(cfg, stride=1)
-    scheme_solver = solve_direct if cfg.scheme in ("direct", "both") else solve_rescaled
+    rescaled = cfg.scheme == "rescaled"
+    solver = solve_rescaled if rescaled else solve_direct
 
     terminal = {name: np.zeros((n_paths, levels)) for name in ALL_IDENTITIES}
     sample_reports = {}
     for pid in range(n_paths):
         path = sample_path(spec.model, spec.T, cfg.n_steps, cfg.run.seed, pid)
         for level in range(levels):
-            traj = scheme_solver(x, path, spec, opts)
+            traj = solver(x, path, spec, opts)
+            if rescaled:   # the identities hold for X = e^W y, not for y
+                traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
             for name, fn in ALL_IDENTITIES.items():
                 rep = fn(traj, path, spec.model, spec)
                 terminal[name][pid, level] = abs(rep.terminal_residual)
@@ -179,7 +182,7 @@ def cmd_convergence(args) -> int:
     for scheme in schemes:
         econf = EnsembleConfig(
             n_paths=cfg.run.n_paths, seed=cfg.run.seed, n_steps=cfg.n_steps,
-            levels=levels, scheme=scheme,
+            levels=levels, width=cfg.run.threads or None, scheme=scheme,
             options=solve_options(cfg, record_snapshots=False))
         rep = convergence_order(x, spec, econf)
         summary.extend(rep.summary_lines())

@@ -268,6 +268,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
     if cfg.run.stride < 1 or cfg.run.n_paths < 1:
         raise ConfigError("stride and M must be >= 1")
+    if cfg.run.threads < 0:
+        raise ConfigError(f"threads must be >= 0 (0 = automatic), got {cfg.run.threads}")
     regime = classify(cfg.d, cfg.alpha, cfg.lam)
     if regime.tag == "out-of-range":
         raise ConfigError(

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, WienerPath, eval_W, step_dW
-from .spectral import Field, Grid
+from .noise import NoiseModel, WienerPath, eval_W
+from .spectral import Field, Grid, boundary_ratios, fft_trailing
 from .functionals import energy_critical_alpha, mass_critical_alpha
 
 # RK4 stability interval on the imaginary axis is |z| <= 2*sqrt(2) ~ 2.83;
@@ -184,9 +184,6 @@ class Trajectory:
     def diagnostic(self, name: str) -> np.ndarray:
         return self.diagnostics[name]
 
-    def snapshot_at(self, index: int) -> Field:
-        return self.snapshots[self.snapshot_indices.index(index)]
-
 
 def guarded_abs_power(values: np.ndarray, expo: float) -> np.ndarray:
     """|v|^expo as exp(expo*log|v|), zero below the underflow guard."""
@@ -204,35 +201,33 @@ def _critical_spacetime_exponent(d: int) -> float:
     return 2.0 * (d + 2) / (d - 2)
 
 
-def _diag_row(grid: Grid, values: np.ndarray, alpha: float, lam: int,
-              q1: float | None) -> dict:
-    vhat = np.fft.fftn(values)
+def _row_sums(values: np.ndarray) -> np.ndarray:
+    return values.reshape(values.shape[0], -1).sum(axis=1)
+
+
+def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
+               q1: float | None) -> dict:
+    """Diagnostics of each row of a (B, *grid.shape) block, as (B,) arrays."""
+    vhat = fft_trailing(v, grid.d)
     spec_w = grid.cell_volume / grid.n ** grid.d
-    m = grid.cell_volume * float(np.sum(values.real ** 2 + values.imag ** 2))
-    grad2 = spec_w * float(np.sum(grid.k_squared * (vhat.real ** 2 + vhat.imag ** 2)))
-    a = np.abs(values)
-    lp_p = grid.cell_volume * float(np.sum(a ** (alpha + 1.0)))
+    m = grid.cell_volume * _row_sums(v.real ** 2 + v.imag ** 2)
+    grad2 = spec_w * _row_sums(grid.k_squared * (vhat.real ** 2 + vhat.imag ** 2))
+    a = np.abs(v)
+    lp_p = grid.cell_volume * _row_sums(a ** (alpha + 1.0))
     row = {
         "mass": m,
         "hamiltonian": 0.5 * grad2 - (lam / (alpha + 1.0)) * lp_p,
-        "h1": math.sqrt(m) + math.sqrt(grad2),
+        "h1": np.sqrt(m) + np.sqrt(grad2),
         "lp": lp_p ** (1.0 / (alpha + 1.0)),
     }
     if q1 is not None:
-        row["lq1_pow"] = grid.cell_volume * float(np.sum(a ** q1))
-    peak = float(np.max(a))
-    edge = 0.0
-    for ax in range(grid.d):
-        for idx in (0, grid.n - 1):
-            sl = [slice(None)] * grid.d
-            sl[ax] = idx
-            edge = max(edge, float(np.max(a[tuple(sl)])))
-    row["boundary"] = edge / peak if peak > 0 else 0.0
+        row["lq1_pow"] = grid.cell_volume * _row_sums(a ** q1)
+    row["boundary"] = boundary_ratios(grid, a)
     return row
 
 
 class BlowupMonitor:
-    """Crossing detector for the blowup-alternative norms.
+    """Crossing detector for the blowup-alternative norms, one entry per path.
 
     Subcritical regimes watch the H1 norm against h1_factor * initial;
     the energy-critical regime additionally accumulates the space-time
@@ -240,26 +235,27 @@ class BlowupMonitor:
     """
 
     def __init__(self, spec: ProblemSpec, thresholds: BlowupThresholds,
-                 h1_initial: float, lq1_pow_initial: float | None = None):
-        self.thresholds = thresholds
+                 h1_initial: np.ndarray, lq1_pow_initial: np.ndarray | None = None):
         self.h1_cap = thresholds.h1_factor * h1_initial
-        self.h1_initial = h1_initial
+        self.h1_watched = h1_initial > 0
         self.critical = spec.regime.tag == REGIME_ENERGY_CRIT
-        self.accumulator = 0.0
+        self.accumulator = np.zeros(len(h1_initial))
+        self.spacetime_cap = math.inf
         if self.critical:
-            base = max(lq1_pow_initial or 0.0, 1.0)
+            base = np.maximum(lq1_pow_initial, 1.0)
             self.spacetime_cap = thresholds.spacetime_factor * base * spec.T
-        else:
-            self.spacetime_cap = math.inf
 
-    def update(self, t: float, dt: float, row: dict) -> TrajectoryStatus | None:
-        if self.h1_initial > 0 and row["h1"] > self.h1_cap:
-            return TrajectoryStatus("blowup", t, "h1-threshold")
+    def update(self, dt: float, row: dict) -> dict:
+        """Feed one diagnostics row; returns {path index: reason} of crossings."""
+        hits = {}
         if self.critical:
             self.accumulator += row["lq1_pow"] * dt
-            if self.accumulator > self.spacetime_cap:
-                return TrajectoryStatus("blowup", t, "critical-spacetime-threshold")
-        return None
+            hits = dict.fromkeys(np.flatnonzero(self.accumulator > self.spacetime_cap).tolist(),
+                                 "critical-spacetime-threshold")
+        crossed = self.h1_watched & (row["h1"] > self.h1_cap)
+        if crossed.any():
+            hits.update(dict.fromkeys(np.flatnonzero(crossed).tolist(), "h1-threshold"))
+        return hits
 
 
 def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
@@ -267,47 +263,62 @@ def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
     """Replay a trajectory's diagnostic series through the crossing detector."""
     h1 = trajectory.diagnostic("h1")
     lq1 = trajectory.diagnostics.get("lq1_pow")
-    monitor = BlowupMonitor(spec, thresholds, h1[0],
-                            lq1[0] if lq1 is not None else None)
+    monitor = BlowupMonitor(spec, thresholds, h1[:1], None if lq1 is None else lq1[:1])
     times = trajectory.times
     for i in range(1, len(times)):
-        row = {"h1": h1[i]}
-        if lq1 is not None:
-            row["lq1_pow"] = lq1[i]
-        hit = monitor.update(times[i], times[i] - times[i - 1], row)
-        if hit is not None:
-            return hit
+        row = {"h1": h1[i:i + 1], "lq1_pow": None if lq1 is None else lq1[i:i + 1]}
+        hits = monitor.update(times[i] - times[i - 1], row)
+        if hits:
+            return TrajectoryStatus("blowup", times[i], hits[0])
     return TrajectoryStatus("finished", float(times[-1]))
 
 
 # ---------------------------------------------------------------------------
-# direct scheme
+# block steppers
+#
+# Both steppers advance B paths held as one (B, *grid.shape) array.  Every
+# operation acts on each row alone, so a path's bits do not depend on its
+# block.  Complex products fix their operand order with np.multiply: NumPy
+# may evaluate `a * tmp` as `tmp *= a` on arrays of 256 KiB and more, and the
+# SIMD complex multiply is not bit-commutative.
+
+def _mode_sum(coeffs: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """sum_j coeffs[:, j] fields[j] for (B, N) coefficients: a (B, *shape)
+    block, summed mode by mode (a BLAS contraction's rounding depends on B)."""
+    out = np.multiply.outer(coeffs[:, 0], fields[0])
+    for j in range(1, fields.shape[0]):
+        out += np.multiply.outer(coeffs[:, j], fields[j])
+    return out
+
 
 class _DirectStepper:
-    def __init__(self, spec: ProblemSpec, path: WienerPath, flags: StepFlags):
-        grid = spec.grid
-        dt = path.dt
-        self.grid, self.spec, self.path, self.flags = grid, spec, path, flags
-        self.dt = dt
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
+        grid, model, dt = spec.grid, spec.model, paths[0].dt
+        self.spec, self.flags, self.dt, self.d = spec, flags, dt, grid.d
         self.lin_mult = np.exp(1j * grid.k_squared * dt)
-        damp = spec.model.mu_field.astype(np.complex128)
-        if not flags.omit_mu_tilde:
-            damp = damp + spec.model.mu_tilde_field
-        self.damp_dt = damp * dt
-        self.has_noise = flags.noise and spec.model.n_modes > 0
+        damp = model.mu_field.astype(np.complex128) if flags.omit_mu_tilde else model.damping
+        self.has_noise = flags.noise and model.n_modes > 0
+        if self.has_noise:
+            # real phi and damping (every non-conservative config) need only
+            # a real exp for the noise factor, ~10x cheaper than a complex one
+            real = not (np.any(model.phi_stack.imag) or np.any(damp.imag))
+            self.phi = model.phi_stack.real if real else model.phi_stack
+            self.damp_dt = (damp.real if real else damp) * dt
+            self.increments = np.stack([p.increments for p in paths], axis=1)
 
     def _half_phase(self, v: np.ndarray) -> np.ndarray:
         power = guarded_abs_power(v, self.spec.alpha - 1.0)
-        return v * np.exp(-1j * self.spec.lam * power * (0.5 * self.dt))
+        return np.multiply(v, np.exp(-1j * self.spec.lam * power * (0.5 * self.dt)))
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
         if self.flags.nonlinear:
             v = self._half_phase(v)
         if self.flags.linear:
-            v = np.fft.ifftn(self.lin_mult * np.fft.fftn(v))
+            vhat = fft_trailing(v, self.d)
+            v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.d, inverse=True)
         if self.has_noise:
-            dW = step_dW(self.spec.model, self.path, t_index)
-            v = v * np.exp(dW - self.damp_dt)
+            dW = _mode_sum(self.increments[t_index], self.phi)
+            v = np.multiply(v, np.exp(dW - self.damp_dt))
         if self.flags.nonlinear:
             v = self._half_phase(v)
         return v
@@ -316,120 +327,64 @@ class _DirectStepper:
 def step_direct(state: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
                 flags: StepFlags = StepFlags()) -> Field:
     """One Strang step of the direct equation over [t_i, t_{i+1}]."""
-    stepper = _DirectStepper(spec, path, flags)
-    return Field(state.grid, stepper.step(state.values, t_index)).check_finite()
+    stepper = _DirectStepper(spec, [path], flags)
+    return Field(state.grid, stepper.step(state.values[None], t_index)[0]).check_finite()
 
 
-def _run_solver(stepper, x: Field, path: WienerPath, spec: ProblemSpec,
-                options: SolveOptions) -> Trajectory:
-    grid = spec.grid
-    q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
-    v = x.values.astype(np.complex128).copy()
-    rows = [_diag_row(grid, v, spec.alpha, spec.lam, q1)]
-    snap_idx, snaps = [], []
-    if options.record_snapshots:
-        snap_idx.append(0)
-        snaps.append(Field(grid, v.copy()))
-    monitor = BlowupMonitor(spec, options.thresholds, rows[0]["h1"],
-                            rows[0].get("lq1_pow"))
-    status = TrajectoryStatus("finished", path.horizon)
-    last = path.n_steps
-    for i in range(path.n_steps):
-        v = stepper.step(v, i)
-        t = float(path.times[i + 1])
-        if not np.all(np.isfinite(v)):
-            status = TrajectoryStatus("numeric-failure", t)
-            last = i + 1
-            rows.append({k: math.nan for k in rows[0]})
-            break
-        row = _diag_row(grid, v, spec.alpha, spec.lam, q1)
-        rows.append(row)
-        if options.record_snapshots and (i + 1) % options.stride == 0:
-            snap_idx.append(i + 1)
-            snaps.append(Field(grid, v.copy()))
-        hit = monitor.update(t, path.dt, row)
-        if hit is not None:
-            status = hit
-            last = i + 1
-            if options.record_snapshots and snap_idx[-1] != i + 1:
-                snap_idx.append(i + 1)
-                snaps.append(Field(grid, v.copy()))
-            break
-    times = np.asarray(path.times[:last + 1])
-    diagnostics = {k: np.asarray([r[k] for r in rows]) for k in rows[0]}
-    return Trajectory(times, diagnostics, snap_idx, snaps, status, options.flags)
+def _coefficient_arrays(model: NoiseModel, W: np.ndarray):
+    """grad W (one array per axis) and c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde),
+    for W of shape (..., *grid.shape)."""
+    grid = model.grid
+    what = fft_trailing(W, grid.d)
+    grads = [fft_trailing(1j * km * what, grid.d, inverse=True) for km in grid.k_meshes]
+    c = fft_trailing(-grid.k_squared * what, grid.d, inverse=True) - 1j * model.damping
+    for g in grads:
+        c = c + g * g
+    return grads, c
 
-
-def solve_direct(x: Field, path: WienerPath, spec: ProblemSpec,
-                 options: SolveOptions = SolveOptions()) -> Trajectory:
-    """Integrate the direct equation along the path grid."""
-    if spec.regime.tag == REGIME_OUT_OF_RANGE:
-        raise RegimeError(
-            f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
-    return _run_solver(_DirectStepper(spec, path, options.flags), x, path, spec, options)
-
-
-# ---------------------------------------------------------------------------
-# rescaled scheme
 
 def rescaled_coefficients(model: NoiseModel, path: WienerPath, t_index: int):
     """Operator coefficients at t_i: b = 2 grad W and
     c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde)."""
-    grid = model.grid
-    W = eval_W(model, path, t_index).values
-    what = np.fft.fftn(W)
-    dW = [np.fft.ifftn(1j * km * what) for km in grid.k_meshes]
-    lapW = np.fft.ifftn(-grid.k_squared * what)
-    b = [Field(grid, 2.0 * g) for g in dW]
-    c = lapW - 1j * model.damping
-    for g in dW:
-        c = c + g * g
-    return b, Field(grid, c)
+    grads, c = _coefficient_arrays(model, eval_W(model, path, t_index).values)
+    return [Field(model.grid, 2.0 * g) for g in grads], Field(model.grid, c)
 
 
 class _RescaledStepper:
     """RK4 on the rescaled right-hand side, coefficients frozen per step."""
 
-    def __init__(self, spec: ProblemSpec, path: WienerPath, flags: StepFlags,
-                 check_cfl: bool = True):
-        grid = spec.grid
-        dt = path.dt
-        if check_cfl and flags.linear and dt * grid.k_max ** 2 > CFL_BOUND * CFL_SAFETY:
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
+        grid, dt = spec.grid, paths[0].dt
+        if flags.linear and dt * grid.k_max ** 2 > CFL_BOUND * CFL_SAFETY:
             raise CFLError(
                 f"dt*max|k|^2 = {dt * grid.k_max ** 2:.3f} exceeds "
                 f"{CFL_BOUND * CFL_SAFETY:.2f}; refine dt or coarsen the grid")
-        self.grid, self.spec, self.path, self.flags = grid, spec, path, flags
-        self.dt = dt
+        self.grid, self.spec, self.flags, self.dt = grid, spec, flags, dt
         self.has_noise = flags.noise and spec.model.n_modes > 0
+        if self.has_noise:
+            self.betas = np.stack([p.betas for p in paths], axis=1)
 
     def _frozen_coefficients(self, t_index: int):
-        grid = self.grid
         if not self.has_noise:
             return None, None, None
-        W = eval_W(self.spec.model, self.path, t_index).values
-        what = np.fft.fftn(W)
-        dW = [np.fft.ifftn(1j * km * what) for km in grid.k_meshes]
-        lapW = np.fft.ifftn(-grid.k_squared * what)
-        c = lapW - 1j * self.spec.model.damping
-        for g in dW:
-            c = c + g * g
-        b = [2.0 * g for g in dW]
+        W = _mode_sum(self.betas[t_index], self.spec.model.phi_stack)
+        grads, c = _coefficient_arrays(self.spec.model, W)
         env = np.exp((self.spec.alpha - 1.0) * W.real)
-        return b, c, env
+        return [2.0 * g for g in grads], c, env
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
-        grid, spec, dt = self.grid, self.spec, self.dt
+        grid, spec, dt, d = self.grid, self.spec, self.dt, self.grid.d
         b, c, env = self._frozen_coefficients(t_index)
 
         def rhs(u):
             out = np.zeros_like(u)
             if self.flags.linear:
-                uhat = np.fft.fftn(u)
-                Au = np.fft.ifftn(-grid.k_squared * uhat)
+                uhat = fft_trailing(u, d)
+                Au = fft_trailing(-grid.k_squared * uhat, d, inverse=True)
                 if b is not None:
                     for a_ax, km in enumerate(grid.k_meshes):
-                        Au = Au + b[a_ax] * np.fft.ifftn(1j * km * uhat)
-                    Au = Au + c * u
+                        Au = Au + np.multiply(b[a_ax], fft_trailing(1j * km * uhat, d, inverse=True))
+                    Au = Au + np.multiply(c, u)
                 out = -1j * Au
             if self.flags.nonlinear:
                 power = guarded_abs_power(u, spec.alpha - 1.0)
@@ -447,17 +402,89 @@ class _RescaledStepper:
 def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
                   flags: StepFlags = StepFlags()) -> Field:
     """One RK4 step of the rescaled equation over [t_i, t_{i+1}]."""
-    stepper = _RescaledStepper(spec, path, flags)
-    return Field(y.grid, stepper.step(y.values, t_index)).check_finite()
+    stepper = _RescaledStepper(spec, [path], flags)
+    return Field(y.grid, stepper.step(y.values[None], t_index)[0]).check_finite()
+
+
+# ---------------------------------------------------------------------------
+# block solver
+
+_STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
+
+
+def solve_block(x: Field, paths: list, spec: ProblemSpec,
+                options: SolveOptions = SolveOptions(),
+                scheme: str = "direct") -> list:
+    """Integrate one scheme from x along each of `paths` (one time grid),
+    stepped together as one block; one Trajectory per path (y-variables for
+    the rescaled scheme).  Each path keeps its own finite check, blowup
+    crossing, status and stop index; a stopped path is zeroed."""
+    if spec.regime.tag == REGIME_OUT_OF_RANGE:
+        raise RegimeError(
+            f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
+    if scheme not in _STEPPERS:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not paths or len({(p.n_steps, p.dt) for p in paths}) != 1:
+        raise ValueError("a path block needs at least one path, all on one time grid")
+    stepper = _STEPPERS[scheme](spec, paths, options.flags)
+    grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
+    q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
+    v = np.repeat(x.values.astype(np.complex128)[None], n_paths, axis=0)
+    row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
+    series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in row}
+    for k, s in series.items():
+        s[:, 0] = row[k]
+    snaps = [[(0, v[b].copy())] if options.record_snapshots else [] for b in range(n_paths)]
+    monitor = BlowupMonitor(spec, options.thresholds, row["h1"], row.get("lq1_pow"))
+    statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
+    last = np.full(n_paths, n_steps)
+    active = np.ones(n_paths, dtype=bool)
+
+    def stop(b, kind, reason=None, snapshot=False):
+        statuses[b] = TrajectoryStatus(kind, float(paths[b].times[i]), reason)
+        last[b], active[b] = i, False
+        if snapshot:
+            snaps[b].append((i, v[b].copy()))
+        v[b] = 0.0
+
+    for i in range(1, n_steps + 1):
+        v = stepper.step(v, i - 1)
+        finite = np.isfinite(v).reshape(n_paths, -1).all(axis=1)
+        failed = [] if finite.all() else np.flatnonzero(active & ~finite)
+        for b in failed:
+            stop(b, "numeric-failure")
+        row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
+        for b in failed:
+            for r in row.values():
+                r[b] = np.nan
+        for k, s in series.items():
+            s[:, i] = row[k]
+        snap_due = options.record_snapshots and i % options.stride == 0
+        for b in range(n_paths) if snap_due else ():
+            if active[b]:
+                snaps[b].append((i, v[b].copy()))
+        for b, reason in monitor.update(stepper.dt, row).items():
+            if active[b]:
+                stop(b, "blowup", reason, options.record_snapshots and not snap_due)
+        if not active.any():
+            break
+    return [Trajectory(np.asarray(path.times[:last[b] + 1]),
+                       {k: s[b, :last[b] + 1] for k, s in series.items()},
+                       [i for i, _ in snaps[b]], [Field(grid, a) for _, a in snaps[b]],
+                       statuses[b], options.flags)
+            for b, path in enumerate(paths)]
+
+
+def solve_direct(x: Field, path: WienerPath, spec: ProblemSpec,
+                 options: SolveOptions = SolveOptions()) -> Trajectory:
+    """Integrate the direct equation along the path grid."""
+    return solve_block(x, [path], spec, options, "direct")[0]
 
 
 def solve_rescaled(x: Field, path: WienerPath, spec: ProblemSpec,
                    options: SolveOptions = SolveOptions()) -> Trajectory:
     """Integrate the rescaled equation; the trajectory holds y-variables."""
-    if spec.regime.tag == REGIME_OUT_OF_RANGE:
-        raise RegimeError(
-            f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
-    return _run_solver(_RescaledStepper(spec, path, options.flags), x, path, spec, options)
+    return solve_block(x, [path], spec, options, "rescaled")[0]
 
 
 def transform(u: Field, W_t: Field, direction: str) -> Field:
@@ -483,11 +510,11 @@ def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,
     if not 0 <= s_index <= t_index <= path.n_steps:
         raise IndexError(f"need 0 <= s={s_index} <= t={t_index} <= {path.n_steps}")
     spec = ProblemSpec(model.grid, model, alpha=2.0, lam=1, T=path.horizon)
-    stepper = _RescaledStepper(spec, path, StepFlags(nonlinear=False))
-    v = u0.values.astype(np.complex128).copy()
+    stepper = _RescaledStepper(spec, [path], StepFlags(nonlinear=False))
+    v = u0.values.astype(np.complex128)[None]
     for i in range(s_index, t_index):
         v = stepper.step(v, i)
-    return Field(u0.grid, v).check_finite()
+    return Field(u0.grid, v[0]).check_finite()
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +555,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
         raise ValueError(f"window tau={tau} not representable on the path grid")
 
     lin_flags = StepFlags(nonlinear=False, noise=spec.model.n_modes > 0)
-    stepper = _RescaledStepper(spec, path, lin_flags)
+    stepper = _RescaledStepper(spec, [path], lin_flags)
     trace = []
 
     def envelope(i):
@@ -539,7 +566,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
 
     while True:
         # free part u_i = U(t_i, 0)x, computed once per window size
-        u = [x.values.astype(np.complex128).copy()]
+        u = [x.values.astype(np.complex128)[None]]
         for i in range(K):
             u.append(stepper.step(u[i], i))
         envs = [envelope(i) for i in range(K + 1)]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import ProblemSpec, Trajectory, guarded_abs_power
 from .noise import NoiseModel, WienerPath
-from .spectral import Field, Grid, nyquist_cutoff, theta_m
+from .spectral import Field, Grid, gradient_arrays, nyquist_cutoff, theta_m
 
 
 class StrideError(ValueError):
@@ -57,11 +57,6 @@ def _check_stride(traj: Trajectory, path: WienerPath):
         raise StrideError("identity checks require per-step snapshots (stride 1)")
     if n - 1 > path.n_steps or abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
         raise StrideError("trajectory and path live on different time grids")
-
-
-def _grad_arrays(grid: Grid, values: np.ndarray) -> list:
-    vhat = np.fft.fftn(values)
-    return [np.fft.ifftn(1j * km * vhat) for km in grid.k_meshes]
 
 
 def _grad_sq_norm(grid: Grid, values: np.ndarray) -> float:
@@ -135,12 +130,12 @@ def hamiltonian_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
         lhs[i] = 0.5 * grad2 - (lam_eff / p) * _integral(grid, abs_p)
         if not use_noise or i == n_steps:
             continue
-        gv = _grad_arrays(grid, v)
-        g_muv = _grad_arrays(grid, model.mu_field * v)
+        gv = gradient_arrays(grid, v)
+        g_muv = gradient_arrays(grid, model.mu_field * v)
         incr["mu_drift"][i] = -dt * sum(
             _integral(grid, (ga * np.conj(gb)).real) for ga, gb in zip(g_muv, gv))
         for j, phi in enumerate(model.phi_fields):
-            g_phiv = _grad_arrays(grid, phi * v)
+            g_phiv = gradient_arrays(grid, phi * v)
             quad = sum(_integral(grid, ga.real ** 2 + ga.imag ** 2) for ga in g_phiv)
             incr["qv_grad"][i] += 0.5 * dt * quad
             re_phi = phi.real
@@ -158,7 +153,7 @@ def hamiltonian_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
 def _grad_g_pointwise(grid: Grid, v: np.ndarray, p: float) -> list:
     """grad of g(X) = |X|^{p-2} X via the pointwise product decomposition
     ((p-2)/2)|X|^{p-4} X^2 grad(conj X) + (p/2)|X|^{p-2} grad X, guarded at 0."""
-    gv = _grad_arrays(grid, v)
+    gv = gradient_arrays(grid, v)
     f1 = 0.5 * p * guarded_abs_power(v, p - 2.0)
     f2 = 0.5 * (p - 2.0) * guarded_abs_power(v, p - 4.0) * v * v
     return [f1 * ga + f2 * np.conj(ga) for ga in gv]
@@ -193,7 +188,7 @@ def lp_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
             continue
         if use_grad:
             gg = _grad_g_pointwise(grid, v, p)
-            gv = _grad_arrays(grid, v)
+            gv = gradient_arrays(grid, v)
             val = sum(_integral(grid, (1j * ga * np.conj(gb)).real)
                       for ga, gb in zip(gg, gv))
             incr["grad_drift"][i] = -p * val * dt
@@ -241,13 +236,13 @@ def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
         lhs[i] = _grad_sq_norm(grid, v)
         if i == n_steps:
             continue
-        gv = _grad_arrays(grid, v)
+        gv = gradient_arrays(grid, v)
         if use_noise:
-            g_muv = _grad_arrays(grid, model.mu_field * v)
+            g_muv = gradient_arrays(grid, model.mu_field * v)
             incr["mu_drift"][i] = -2.0 * dt * sum(
                 _integral(grid, (ga * np.conj(gb)).real) for ga, gb in zip(g_muv, gv))
             for j, phi in enumerate(model.phi_fields):
-                g_phiv = _grad_arrays(grid, phi * v)
+                g_phiv = gradient_arrays(grid, phi * v)
                 incr["qv_grad"][i] += dt * sum(
                     _integral(grid, ga.real ** 2 + ga.imag ** 2) for ga in g_phiv)
                 cross = sum(_integral(grid, (ga * np.conj(gb)).real)
@@ -256,7 +251,7 @@ def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
         if use_lam:
             g = guarded_abs_power(v, alpha - 1.0) * v
             gm = theta_m(Field(grid, g), cutoff).values
-            ggm = _grad_arrays(grid, gm)
+            ggm = gradient_arrays(grid, gm)
             val = sum(_integral(grid, (1j * ga * np.conj(gb)).real)
                       for ga, gb in zip(ggm, gv))
             incr["lam_drift"][i] = -2.0 * lam * val * dt

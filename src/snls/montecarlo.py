@@ -1,9 +1,10 @@
 """Ensemble execution and statistical verification.
 
 Paths are independent by construction (counter-based seeds keyed on the path
-index), so workers can run in any order at any parallel width; the reduction
-is an ordered fold by path index and ensemble reports are bit-reproducible
-for a fixed (master seed, config).
+index) and are solved in fixed-size blocks whose size depends on the grid
+alone, so workers can run blocks in any order at any parallel width; the
+reduction is an ordered fold by path index and ensemble reports are
+bit-reproducible for a fixed (master seed, config).
 """
 
 from __future__ import annotations
@@ -12,13 +13,24 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .dynamics import (ProblemSpec, RegimeError, SolveOptions,
+from .config import ConfigError
+from .dynamics import (ProblemSpec, RegimeError, SolveOptions, solve_block,
                        solve_direct, solve_rescaled)
 from .noise import refine_path, sample_path
-from .spectral import Field, h1_norm
+from .spectral import Field, Grid, h1_norm
+
+BLOCK_POINTS = 8192
+"""Grid points per path block: 32 paths on a 256-point line share each step's
+Python overhead, and a complex block stays under 256 KiB."""
+
+
+def block_size(grid: Grid) -> int:
+    """Paths per block: as many as fit in BLOCK_POINTS grid points, at least one."""
+    return max(1, BLOCK_POINTS // grid.n ** grid.d)
 
 
 @dataclass(frozen=True)
@@ -36,7 +48,7 @@ class EnsembleConfig:
 @dataclass
 class EnsembleReport:
     times: np.ndarray
-    per_path: dict            # observable -> (n_paths, n_times) array
+    per_path: dict            # observable -> (n_paths, n_times) array, NaN after a stop
     statuses: list            # TrajectoryStatus per path
     config: EnsembleConfig
 
@@ -46,7 +58,11 @@ class EnsembleReport:
 
     @property
     def blowup_count(self) -> int:
-        return sum(1 for s in self.statuses if s.kind != "finished")
+        return sum(1 for s in self.statuses if s.kind == "blowup")
+
+    @property
+    def failure_count(self) -> int:
+        return sum(1 for s in self.statuses if s.kind == "numeric-failure")
 
     def mean(self, obs: str) -> np.ndarray:
         return np.nanmean(self.per_path[obs], axis=0)
@@ -55,7 +71,8 @@ class EnsembleReport:
         return np.nanvar(self.per_path[obs], axis=0, ddof=1)
 
     def stderr(self, obs: str) -> np.ndarray:
-        return np.sqrt(self.variance(obs) / self.n_paths)
+        finite = np.sum(np.isfinite(self.per_path[obs]), axis=0)
+        return np.sqrt(self.variance(obs) / finite)
 
     def to_csv(self, path):
         names = list(self.per_path)
@@ -78,63 +95,62 @@ def _solver_for(scheme: str):
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
-_WORKER_CTX = {}
-
-
-def _worker_init(x_values, spec, config, sup_over_time=False):
-    _WORKER_CTX["x"] = Field(spec.grid, x_values)
-    _WORKER_CTX["spec"] = spec
-    _WORKER_CTX["config"] = config
-    _WORKER_CTX["sup_over_time"] = sup_over_time
-
-
-def _run_one_path(path_id: int):
-    x = _WORKER_CTX["x"]
-    spec: ProblemSpec = _WORKER_CTX["spec"]
-    config: EnsembleConfig = _WORKER_CTX["config"]
-    path = sample_path(spec.model, spec.T, config.n_steps, config.seed, path_id)
-    for _ in range(config.levels - 1):
-        path = refine_path(path)
-    traj = _solver_for(config.scheme)(x, path, spec, config.options)
-    n_times = config.n_steps * 2 ** (config.levels - 1) + 1
-    out = {}
-    for obs in config.observables:
-        series = np.full(n_times, np.nan)
-        got = traj.diagnostic(obs)
-        series[:len(got)] = got
-        out[obs] = series
-    return path_id, out, traj.status
-
-
 def ensemble_width(config: EnsembleConfig) -> int:
     if config.width is not None:
         return max(1, config.width)
-    env = os.environ.get("SNLS_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    env = os.environ.get("SNLS_THREADS", "").strip()
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    if not (env.isdigit() and int(env) >= 1):
+        raise ConfigError(f"SNLS_THREADS must be a positive integer, got {env!r}")
+    return int(env)
+
+
+_WORKER_CTX = {}
+
+
+def _worker_init(task):
+    _WORKER_CTX["task"] = task
+
+
+def _worker_block(ids):
+    return _WORKER_CTX["task"](ids)
+
+
+def _map_blocks(task, n_paths: int, block: int, width: int) -> list:
+    """task(ids) over consecutive blocks of path ids, in-process at width 1
+    or over a pool; the per-path results in path order."""
+    blocks = [range(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
+    if width == 1 or len(blocks) == 1:
+        parts = [task(ids) for ids in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=min(width, len(blocks)),
+                                 initializer=_worker_init, initargs=(task,)) as ex:
+            parts = list(ex.map(_worker_block, blocks))
+    return [r for part in parts for r in part]
+
+
+def _ensemble_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
+    paths = [sample_path(spec.model, spec.T, config.n_steps, config.seed, pid) for pid in ids]
+    for _ in range(config.levels - 1):
+        paths = [refine_path(p) for p in paths]
+    n_times = paths[0].n_steps + 1
+    return [({obs: np.concatenate([tr.diagnostic(obs), np.full(n_times - len(tr.times), np.nan)])
+              for obs in config.observables}, tr.status)
+            for tr in solve_block(x, paths, spec, config.options, config.scheme)]
 
 
 def run_ensemble(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> EnsembleReport:
     """Run n_paths independent paths; blowup paths are recorded, not fatal."""
     if config.n_paths < 1:
         raise ValueError("need at least one path")
-    width = ensemble_width(config)
-    ids = range(config.n_paths)
-    if width == 1 or config.n_paths == 1:
-        _worker_init(x.values, spec, config)
-        results = [_run_one_path(i) for i in ids]
-    else:
-        chunk = max(1, config.n_paths // (4 * width))
-        with ProcessPoolExecutor(max_workers=width, initializer=_worker_init,
-                                 initargs=(x.values, spec, config)) as ex:
-            results = list(ex.map(_run_one_path, ids, chunksize=chunk))
-    results.sort(key=lambda r: r[0])
+    results = _map_blocks(partial(_ensemble_block, x, spec, config), config.n_paths,
+                          block_size(spec.grid), ensemble_width(config))
     n_times = config.n_steps * 2 ** (config.levels - 1) + 1
     times = np.linspace(0.0, spec.T, n_times)
-    per_path = {obs: np.vstack([r[1][obs] for r in results])
+    per_path = {obs: np.vstack([r[0][obs] for r in results])
                 for obs in config.observables}
-    statuses = [r[2] for r in results]
+    statuses = [r[1] for r in results]
     return EnsembleReport(times, per_path, statuses, config)
 
 
@@ -208,9 +224,10 @@ class MomentReport:
 def moment_monitor(report: EnsembleReport, p: float, alpha: float) -> MomentReport:
     """Empirical E sup_t |X|_2^p and E sup_t (|grad X|_2^2 + |X|_{a+1}^{a+1}).
 
-    Blowup paths flip the divergence flag instead of contributing a value.
+    Any path that did not finish flips the divergence flag instead of
+    contributing a value.
     """
-    if report.blowup_count > 0:
+    if any(s.kind != "finished" for s in report.statuses):
         return MomentReport(p, math.nan, math.nan, True)
     mass = report.per_path["mass"]
     h1 = report.per_path["h1"]
@@ -241,26 +258,24 @@ class ConvergenceReport:
         yield f"convergence_inconclusive={str(self.inconclusive).lower()}"
 
 
-def _terminal_task(path_id: int):
-    x = _WORKER_CTX["x"]
-    spec: ProblemSpec = _WORKER_CTX["spec"]
-    config: EnsembleConfig = _WORKER_CTX["config"]
-    sup_over_time = _WORKER_CTX["sup_over_time"]
-    solver = _solver_for(config.scheme)
-    path = sample_path(spec.model, spec.T, config.n_steps, config.seed, path_id)
-    finals = []
+def _terminal_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
+                    sup_over_time: bool, ids) -> list:
+    paths = [sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
+             for pid in ids]
+    finals = [[] for _ in ids]
     for level in range(config.levels):
         # sup-in-t keeps states at every base-grid time (memory-budget mode);
         # the default keeps the terminal state only
-        stride = 2 ** level if sup_over_time else path.n_steps
+        stride = 2 ** level if sup_over_time else paths[0].n_steps
         opts = replace(config.options, record_snapshots=True, stride=stride)
-        traj = solver(x, path, spec, opts)
-        if traj.status.kind != "finished":
-            raise RegimeError(f"path {path_id} level {level}: {traj.status.kind}")
-        finals.append(np.stack([s.values for s in traj.snapshots]))
+        trajs = solve_block(x, paths, spec, opts, config.scheme)
+        for path_id, traj, fin in zip(ids, trajs, finals):
+            if traj.status.kind != "finished":
+                raise RegimeError(f"path {path_id} level {level}: {traj.status.kind}")
+            fin.append(np.stack([s.values for s in traj.snapshots]))
         if level + 1 < config.levels:
-            path = refine_path(path)
-    return path_id, finals
+            paths = [refine_path(p) for p in paths]
+    return finals
 
 
 def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
@@ -271,21 +286,13 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     the full trajectory storage per level."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
-    width = ensemble_width(config)
-    ids = range(config.n_paths)
-    if width == 1 or config.n_paths == 1:
-        _worker_init(x.values, spec, config, sup_over_time)
-        results = [_terminal_task(i) for i in ids]
-    else:
-        with ProcessPoolExecutor(max_workers=width, initializer=_worker_init,
-                                 initargs=(x.values, spec, config, sup_over_time)) as ex:
-            results = list(ex.map(_terminal_task, ids))
-    results.sort(key=lambda r: r[0])
+    results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time),
+                          config.n_paths, block_size(spec.grid), ensemble_width(config))
     w = spec.grid.cell_volume
     errors = []
     for level in range(config.levels - 1):
         errs = []
-        for _, finals in results:
+        for finals in results:
             diff = np.abs(finals[level] - finals[-1]) ** 2
             per_time = np.sqrt(w * diff.reshape(diff.shape[0], -1).sum(axis=1))
             errs.append(float(np.max(per_time)))

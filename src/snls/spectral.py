@@ -147,6 +147,15 @@ def field_from_function(grid: Grid, fn) -> Field:
 # ---------------------------------------------------------------------------
 # transforms and derivatives
 
+def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
+    """fftn (ifftn) over the trailing d axes, one axis at a time in fftn's
+    order: bit-identical to fftn(values, axes=...) and cheaper per call."""
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for ax in range(-1, -d - 1, -1):
+        values = transform(values, axis=ax)
+    return values
+
+
 def forward(u: Field) -> np.ndarray:
     return np.fft.fftn(u.values)
 
@@ -243,17 +252,17 @@ def boundary_ratio(u: Field) -> float:
     The box truncates all of space; runs are only trusted while fields stay
     below 1e-8 of peak at the boundary.
     """
-    a = np.abs(u.values)
-    peak = float(np.max(a))
-    if peak == 0.0:
-        return 0.0
-    edge = 0.0
-    for ax in range(u.grid.d):
-        for idx in (0, u.grid.n - 1):
-            sl = [slice(None)] * u.grid.d
-            sl[ax] = idx
-            edge = max(edge, float(np.max(a[tuple(sl)])))
-    return edge / peak
+    return float(boundary_ratios(u.grid, np.abs(u.values)[None])[0])
+
+
+def boundary_ratios(grid: Grid, moduli: np.ndarray) -> np.ndarray:
+    """boundary_ratio of each row of a (B, *grid.shape) block of |u|."""
+    rows = moduli.shape[0]
+    faces = [moduli[(slice(None),) * ax + (idx,)].reshape(rows, -1)
+             for ax in range(1, grid.d + 1) for idx in (0, -1)]
+    edge = np.concatenate(faces, axis=1).max(axis=1)
+    peak = moduli.reshape(rows, -1).max(axis=1)
+    return np.divide(edge, peak, out=np.zeros(rows), where=peak > 0)
 
 
 BOUNDARY_DECAY_TOL = 1e-8

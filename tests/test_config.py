@@ -91,6 +91,10 @@ profile = constant
         with pytest.raises(ConfigError, match="dt"):
             parse_config(MINIMAL.replace("dt = 1e-3", "dt = 2.0"))
 
+    def test_negative_threads_rejected(self):
+        with pytest.raises(ConfigError, match="threads"):
+            parse_config(MINIMAL + "\n[run]\nthreads = -1\n")
+
 
 def config_strategy():
     floats = st.floats(min_value=0.1, max_value=8.0, allow_nan=False)

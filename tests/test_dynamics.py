@@ -9,9 +9,11 @@ from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
                            BlowupThresholds, classify, detect_blowup,
                            guarded_abs_power, is_strichartz_pair, picard_solve,
                            propagator_apply, rescaled_coefficients,
-                           rescaled_to_X, solve_direct, solve_rescaled,
-                           step_direct, step_rescaled, transform)
+                           rescaled_to_X, solve_block, solve_direct,
+                           solve_rescaled, step_direct, step_rescaled,
+                           transform)
 from snls.functionals import hamiltonian, mass
+from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, GaussianProfile, NoiseMode,
                         build_model, eval_W, refine_path, sample_path)
 from snls.spectral import Field, Grid, lp_norm
@@ -203,6 +205,40 @@ class TestSolveDirect:
         there = np.fft.ifftn(mult * np.fft.fftn(u))
         back = np.fft.ifftn(np.conj(mult) * np.fft.fftn(there))
         assert np.max(np.abs(back - u)) <= 1e-10
+
+
+class TestSolveBlock:
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    @pytest.mark.parametrize("mus", [(1.0,), (0.6 + 0.5j,), (1.0, 0.4, 0.3)])
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 32, 16.0)])
+    def test_each_path_matches_its_single_path_solve(self, grid, mus, scheme):
+        # every block operation acts on each row alone, so a path's bits
+        # do not depend on its block-mates
+        model = build_model([NoiseMode(mu, GaussianProfile(1.0, 2.0 + j, (j, 0, 0)))
+                             for j, mu in enumerate(mus)], grid)
+        spec = ProblemSpec(grid, model, 3.0, -1, 0.02)
+        paths = [sample_path(model, 0.02, 10, seed=5, path_id=i)
+                 for i in range(block_size(grid))]
+        opts = SolveOptions(stride=3)
+        solo = solve_direct if scheme == "direct" else solve_rescaled
+        block = solve_block(gaussian(grid), paths, spec, opts, scheme)
+        assert len(block) == len(paths)
+        for path, got in zip(paths, block):
+            want = solo(gaussian(grid), path, spec, opts)
+            assert got.status == want.status
+            assert np.array_equal(got.times, want.times)
+            assert got.snapshot_indices == want.snapshot_indices == [0, 3, 6, 9]
+            for name in want.diagnostics:
+                assert np.array_equal(got.diagnostic(name), want.diagnostic(name))
+            for a, b in zip(got.snapshots, want.snapshots):
+                assert np.array_equal(a.values, b.values)
+
+    def test_paths_must_share_a_time_grid(self):
+        spec = det_spec(T=0.5)
+        paths = [sample_path(spec.model, 0.5, 10, seed=0),
+                 sample_path(spec.model, 0.5, 20, seed=0)]
+        with pytest.raises(ValueError):
+            solve_block(gaussian(), paths, spec)
 
 
 class TestRescaledCoefficients:

@@ -3,7 +3,7 @@ import pytest
 
 from snls.dynamics import (BlowupThresholds, ProblemSpec, RegimeError,
                            SolveOptions, StepFlags)
-from snls.montecarlo import (EnsembleConfig, continuity_probe,
+from snls.montecarlo import (EnsembleConfig, block_size, continuity_probe,
                              convergence_order, estimate_mass_bias,
                              martingale_test, moment_monitor, run_ensemble)
 from snls.noise import GaussianProfile, NoiseMode, build_model
@@ -72,6 +72,58 @@ class TestRunEnsemble:
                                             width=1, options=NOSNAP))
         r = small.stderr("mass")[-1] / large.stderr("mass")[-1]
         assert r == pytest.approx(2.0, rel=0.25)
+
+
+def one_crossing_thresholds(x, spec, config):
+    """An H1 cap that exactly one path of the ensemble crosses: halfway
+    between the largest and second-largest sup_t h1(t)/h1(0)."""
+    h1 = run_ensemble(x, spec, config).per_path["h1"]
+    top = np.sort(np.max(h1, axis=1) / h1[:, 0])[-2:]
+    return BlowupThresholds(h1_factor=float(np.mean(top)))
+
+
+class TestHonestCounts:
+    def test_one_blowup_path(self):
+        spec = spec_with_mode(1.0 + 0j)
+        config = EnsembleConfig(n_paths=6, seed=3, n_steps=50, width=1,
+                                options=NOSNAP)
+        thresholds = one_crossing_thresholds(gaussian(), spec, config)
+        report = run_ensemble(gaussian(), spec, EnsembleConfig(
+            n_paths=6, seed=3, n_steps=50, width=1,
+            options=SolveOptions(record_snapshots=False, thresholds=thresholds)))
+        assert report.blowup_count == 1 and report.failure_count == 0
+        mass = report.per_path["mass"][:, -1]
+        assert np.isfinite(report.per_path["mass"][:, 0]).all()
+        assert np.isfinite(mass).sum() == 5
+        survivors = mass[np.isfinite(mass)]
+        assert report.stderr("mass")[-1] == pytest.approx(
+            np.std(survivors, ddof=1) / np.sqrt(5), rel=1e-12)
+        assert moment_monitor(report, p=2.0, alpha=spec.alpha).divergent
+
+
+class TestBlocks:
+    def test_width_1_and_2_bit_identical_with_mid_block_blowup(self):
+        grid = Grid(1, 256, 32.0)
+        spec = spec_with_mode(1.0 + 0j, grid=grid)
+        x = gaussian(grid=grid)
+        n_paths = 5 * block_size(grid) // 2
+        base = dict(n_paths=n_paths, seed=17, n_steps=60, width=1,
+                    observables=("mass", "h1", "boundary"))
+        thresholds = one_crossing_thresholds(x, spec, EnsembleConfig(**base, options=NOSNAP))
+        opts = SolveOptions(record_snapshots=False, thresholds=thresholds)
+        serial = run_ensemble(x, spec, EnsembleConfig(**base, options=opts))
+        parallel = run_ensemble(x, spec, EnsembleConfig(**{**base, "width": 2}, options=opts))
+        blown = [i for i, s in enumerate(serial.statuses) if s.kind == "blowup"]
+        assert len(blown) == 1
+        stop = serial.statuses[blown[0]].t
+        assert 0.0 < stop < spec.T
+        # the path stops while the rest of its block runs on to T
+        assert np.isnan(serial.per_path["mass"][blown[0], -1])
+        assert np.all(np.isfinite(np.delete(serial.per_path["mass"], blown[0], axis=0)))
+        assert serial.statuses == parallel.statuses
+        for obs in serial.per_path:
+            assert np.array_equal(serial.per_path[obs], parallel.per_path[obs],
+                                  equal_nan=True)
 
 
 class TestMartingale:
