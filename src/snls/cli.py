@@ -23,7 +23,7 @@ from .identities import ALL_IDENTITIES
 from .montecarlo import (EnsembleConfig, convergence_order, martingale_test,
                          moment_monitor, run_ensemble)
 from .noise import refine_path, sample_path
-from .spectral import NumericFailure
+from .spectral import BOUNDARY_DECAY_TOL, NumericFailure
 
 
 def _load(args) -> RunConfig:
@@ -80,7 +80,9 @@ def _simulate_one(cfg: RunConfig, scheme: str, out: str, summary: list) -> int:
     summary.append(f"{scheme}_mass_drift_rel={_relative_drift(traj.diagnostic('mass'))!r}")
     summary.append(
         f"{scheme}_hamiltonian_drift_rel={_relative_drift(traj.diagnostic('hamiltonian'))!r}")
-    summary.append(f"{scheme}_boundary_max={float(np.max(traj.diagnostic('boundary')))!r}")
+    boundary_max = float(np.max(traj.diagnostic("boundary")))
+    summary.append(f"{scheme}_boundary_max={boundary_max!r}")
+    summary.append(f"{scheme}_boundary_trusted={str(boundary_max < BOUNDARY_DECAY_TOL).lower()}")
     return 2 if traj.status.kind == "blowup" else 0
 
 

@@ -35,7 +35,7 @@ _PROBLEM_KEYS = {"d", "n", "l", "alpha", "lambda", "t", "dt", "scheme",
 _NOISE_KEYS = {"mu_re", "mu_im", "profile", "height", "width", "center", "kmode"}
 _RUN_KEYS = {"m", "seed", "stride", "out", "h1_blowup_factor",
              "spacetime_blowup_factor", "flags", "threads"}
-_VERIFY_KEYS = {"identities", "levels", "paths"}
+_VERIFY_KEYS = {"levels", "paths"}
 
 _SCHEMES = ("direct", "rescaled", "both")
 _INITIAL_KINDS = ("gaussian", "soliton", "plane-wave", "file")
@@ -78,7 +78,6 @@ class RunSection:
 
 @dataclass(frozen=True)
 class VerifySection:
-    identities: bool = True
     levels: int = 3
     paths: int = 32
 
@@ -163,6 +162,16 @@ def _require(section_name: str, section, key: str) -> str:
     return section[key]
 
 
+def _value(section_name: str, section, key: str, convert, default: str | None = None):
+    """convert(section[key]), falling back to `default` (required when None);
+    a value convert rejects is a ConfigError naming the key."""
+    text = _require(section_name, section, key) if default is None else section.get(key, default)
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad value {text!r} for {key!r} in [{section_name}]: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -174,18 +183,13 @@ def parse_config(text: str) -> RunConfig:
 
     prob = parser["problem"]
     _reject_unknown("problem", prob, _PROBLEM_KEYS)
-    try:
-        d = int(_require("problem", prob, "d"))
-        n = int(_require("problem", prob, "n"))
-        length = float(_require("problem", prob, "l"))
-        alpha = float(_require("problem", prob, "alpha"))
-        lam = int(_require("problem", prob, "lambda"))
-        T = float(_require("problem", prob, "t"))
-        dt = float(_require("problem", prob, "dt"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad numeric value in [problem]: {exc}") from exc
+    d = _value("problem", prob, "d", int)
+    n = _value("problem", prob, "n", int)
+    length = _value("problem", prob, "l", float)
+    alpha = _value("problem", prob, "alpha", float)
+    lam = _value("problem", prob, "lambda", int)
+    T = _value("problem", prob, "t", float)
+    dt = _value("problem", prob, "dt", float)
     scheme = prob.get("scheme", "direct")
     if scheme not in _SCHEMES:
         raise ConfigError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -195,10 +199,10 @@ def parse_config(text: str) -> RunConfig:
     default_amp = math.sqrt(2.0) if kind == "soliton" else 1.0
     initial = InitialSpec(
         kind=kind,
-        amplitude=float(prob.get("amplitude", repr(default_amp))),
-        width=float(prob.get("width", "1.0")),
-        center=_pad3(_floats(prob.get("center", "0 0 0"))),
-        kmode=_pad3(_ints(prob.get("kmode", "1 0 0")), fill=0),
+        amplitude=_value("problem", prob, "amplitude", float, repr(default_amp)),
+        width=_value("problem", prob, "width", float, "1.0"),
+        center=_pad3(_value("problem", prob, "center", _floats, "0 0 0")),
+        kmode=_pad3(_value("problem", prob, "kmode", _ints, "1 0 0"), fill=0),
         path=prob.get("path", ""),
     )
     if kind == "file" and not initial.path:
@@ -217,38 +221,34 @@ def parse_config(text: str) -> RunConfig:
         if profile not in _PROFILES:
             raise ConfigError(f"profile must be one of {_PROFILES}, got {profile!r} in [{name}]")
         modes.append(ModeConfig(
-            mu_re=float(_require(name, sec, "mu_re")),
-            mu_im=float(_require(name, sec, "mu_im")),
+            mu_re=_value(name, sec, "mu_re", float),
+            mu_im=_value(name, sec, "mu_im", float),
             profile=profile,
-            height=float(sec.get("height", "1.0")),
-            width=float(sec.get("width", "1.0")),
-            center=_pad3(_floats(sec.get("center", "0 0 0"))),
-            kmode=_pad3(_ints(sec.get("kmode", "1 0 0")), fill=0),
+            height=_value(name, sec, "height", float, "1.0"),
+            width=_value(name, sec, "width", float, "1.0"),
+            center=_pad3(_value(name, sec, "center", _floats, "0 0 0")),
+            kmode=_pad3(_value(name, sec, "kmode", _ints, "1 0 0"), fill=0),
         ))
         idx += 1
 
     runsec = _section(parser, "run")
     _reject_unknown("run", runsec, _RUN_KEYS)
     run = RunSection(
-        n_paths=int(runsec.get("m", "1")),
-        seed=int(runsec.get("seed", "0")),
-        stride=int(runsec.get("stride", "1")),
+        n_paths=_value("run", runsec, "m", int, "1"),
+        seed=_value("run", runsec, "seed", int, "0"),
+        stride=_value("run", runsec, "stride", int, "1"),
         out=runsec.get("out", "out"),
-        h1_blowup_factor=float(runsec.get("h1_blowup_factor", "1e6")),
-        spacetime_blowup_factor=float(runsec.get("spacetime_blowup_factor", "1e6")),
+        h1_blowup_factor=_value("run", runsec, "h1_blowup_factor", float, "1e6"),
+        spacetime_blowup_factor=_value("run", runsec, "spacetime_blowup_factor", float, "1e6"),
         flags=_flags_from_tokens(runsec.get("flags", "").split()),
-        threads=int(runsec.get("threads", "0")),
+        threads=_value("run", runsec, "threads", int, "0"),
     )
 
     versec = _section(parser, "verify")
     _reject_unknown("verify", versec, _VERIFY_KEYS)
-    onoff = versec.get("identities", "on") if versec else "on"
-    if onoff not in ("on", "off"):
-        raise ConfigError(f"identities must be 'on' or 'off', got {onoff!r}")
     verify = VerifySection(
-        identities=onoff == "on",
-        levels=int(versec.get("levels", "3")) if versec else 3,
-        paths=int(versec.get("paths", "32")) if versec else 32,
+        levels=_value("verify", versec, "levels", int, "3"),
+        paths=_value("verify", versec, "paths", int, "32"),
     )
 
     cfg = RunConfig(d, n, length, alpha, lam, T, dt, scheme, initial,
@@ -262,8 +262,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError(f"d must be 1, 2 or 3, got {cfg.d}")
     if cfg.lam not in (1, -1):
         raise ConfigError(f"lambda must be +1 or -1, got {cfg.lam}")
-    if cfg.T <= 0 or cfg.dt <= 0:
-        raise ConfigError("T and dt must be positive")
+    if not (0 < cfg.T < math.inf and cfg.dt > 0):
+        raise ConfigError("T and dt must be positive and finite")
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
     if cfg.run.stride < 1 or cfg.run.n_paths < 1:
@@ -313,7 +313,6 @@ def serialize_config(cfg: RunConfig) -> str:
     w(f"flags = {_flags_to_tokens(cfg.run.flags)}\n")
     w(f"threads = {cfg.run.threads}\n")
     w("\n[verify]\n")
-    w(f"identities = {'on' if cfg.verify.identities else 'off'}\n")
     w(f"levels = {cfg.verify.levels}\n")
     w(f"paths = {cfg.verify.paths}\n")
     return buf.getvalue()
@@ -340,8 +339,11 @@ def build_noise_model(cfg: RunConfig, grid: Grid) -> NoiseModel:
 
 
 def build_problem(cfg: RunConfig) -> ProblemSpec:
-    grid = build_grid(cfg)
-    model = build_noise_model(cfg, grid)
+    try:
+        grid = build_grid(cfg)
+        model = build_noise_model(cfg, grid)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the problem: {exc}") from exc
     return ProblemSpec(grid, model, cfg.alpha, cfg.lam, cfg.T)
 
 

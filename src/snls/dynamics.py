@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseModel, WienerPath, eval_W
-from .spectral import Field, Grid, boundary_ratios, fft_trailing
+from .spectral import (Field, Grid, boundary_ratios, fft_trailing, grad_sq_norms,
+                       quadrature)
 from .functionals import energy_critical_alpha, mass_critical_alpha
 
 # RK4 stability interval on the imaginary axis is |z| <= 2*sqrt(2) ~ 2.83;
@@ -201,19 +202,13 @@ def _critical_spacetime_exponent(d: int) -> float:
     return 2.0 * (d + 2) / (d - 2)
 
 
-def _row_sums(values: np.ndarray) -> np.ndarray:
-    return values.reshape(values.shape[0], -1).sum(axis=1)
-
-
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
     """Diagnostics of each row of a (B, *grid.shape) block, as (B,) arrays."""
-    vhat = fft_trailing(v, grid.d)
-    spec_w = grid.cell_volume / grid.n ** grid.d
-    m = grid.cell_volume * _row_sums(v.real ** 2 + v.imag ** 2)
-    grad2 = spec_w * _row_sums(grid.k_squared * (vhat.real ** 2 + vhat.imag ** 2))
+    m = quadrature(grid, v.real ** 2 + v.imag ** 2)
+    grad2 = grad_sq_norms(grid, v)
     a = np.abs(v)
-    lp_p = grid.cell_volume * _row_sums(a ** (alpha + 1.0))
+    lp_p = quadrature(grid, a ** (alpha + 1.0))
     row = {
         "mass": m,
         "hamiltonian": 0.5 * grad2 - (lam / (alpha + 1.0)) * lp_p,
@@ -221,7 +216,7 @@ def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
         "lp": lp_p ** (1.0 / (alpha + 1.0)),
     }
     if q1 is not None:
-        row["lq1_pow"] = grid.cell_volume * _row_sums(a ** q1)
+        row["lq1_pow"] = quadrature(grid, a ** q1)
     row["boundary"] = boundary_ratios(grid, a)
     return row
 
@@ -529,10 +524,6 @@ class PicardDiagnostics:
     trace: list = field(default_factory=list)   # (tau, factor, accepted)
 
 
-def _l2(grid: Grid, values: np.ndarray) -> float:
-    return math.sqrt(grid.cell_volume * float(np.sum(values.real ** 2 + values.imag ** 2)))
-
-
 def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                  window_policy: str = "adaptive", tau: float | None = None,
                  tol: float = 1e-10, max_iter: int = 50):
@@ -583,7 +574,8 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                 for i in range(K):
                     v = stepper.step(v + (0.5 * dt) * f[i], i) + (0.5 * dt) * f[i + 1]
                     new.append(u[i + 1] - 1j * spec.lam * v)
-                dist = max(_l2(grid, new[i] - y[i]) for i in range(K + 1))
+                diff = np.concatenate(new) - np.concatenate(y)
+                dist = float(np.sqrt(quadrature(grid, diff.real ** 2 + diff.imag ** 2)).max())
                 distances.append(dist)
                 y = new
                 if not math.isfinite(dist):

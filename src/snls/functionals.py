@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import Field, Grid, inner_product, l2_norm_grad, lp_norm
+from .spectral import (Field, Grid, grad_sq_norms, inverse, l2_norm_grad, lp_norm,
+                       quadrature)
 
 
 def mass(u: Field) -> float:
-    """|u|_2^2 = Re <u, u>."""
-    return inner_product(u, u).real
+    """|u|_2^2 = h^d sum |u|^2."""
+    v = u.values
+    return float(quadrature(u.grid, v.real ** 2 + v.imag ** 2))
 
 
 def energy_critical_alpha(d: int) -> float:
@@ -33,9 +35,9 @@ def _check_alpha(alpha: float, d: int):
 def hamiltonian(u: Field, alpha: float, lam: int) -> float:
     """H(u) = 1/2 |grad u|_2^2 - lam/(alpha+1) |u|_{alpha+1}^{alpha+1}."""
     _check_alpha(alpha, u.grid.d)
-    kinetic = 0.5 * l2_norm_grad(u) ** 2
-    potential = lp_norm(u, alpha + 1.0) ** (alpha + 1.0)
-    return kinetic - (lam / (alpha + 1.0)) * potential
+    kinetic = 0.5 * grad_sq_norms(u.grid, u.values)
+    potential = quadrature(u.grid, np.abs(u.values) ** (alpha + 1.0))
+    return float(kinetic - (lam / (alpha + 1.0)) * potential)
 
 
 def gn_theta(alpha: float, d: int) -> float:
@@ -62,7 +64,7 @@ def _calibrate_gn_constant(d: int, alpha: float) -> float:
     worst = 0.0
     for _ in range(_GN_CAL_FIELDS):
         spec = gen.standard_normal(grid.shape) + 1j * gen.standard_normal(grid.shape)
-        u = Field(grid, np.fft.ifftn(spec * keep))
+        u = inverse(grid, spec * keep)
         lhs = lp_norm(u, alpha + 1.0) ** (alpha + 1.0)
         den = lp_norm(u, 2.0) ** beta * l2_norm_grad(u) ** gamma
         if den > 0:

@@ -21,7 +21,7 @@ from .config import ConfigError
 from .dynamics import (ProblemSpec, RegimeError, SolveOptions, solve_block,
                        solve_direct, solve_rescaled)
 from .noise import refine_path, sample_path
-from .spectral import Field, Grid, h1_norm
+from .spectral import Field, Grid, h1_norm, quadrature
 
 BLOCK_POINTS = 8192
 """Grid points per path block: 32 paths on a 256-point line share each step's
@@ -288,14 +288,12 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
         raise ValueError("order fit needs at least 3 levels")
     results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time),
                           config.n_paths, block_size(spec.grid), ensemble_width(config))
-    w = spec.grid.cell_volume
     errors = []
     for level in range(config.levels - 1):
         errs = []
         for finals in results:
             diff = np.abs(finals[level] - finals[-1]) ** 2
-            per_time = np.sqrt(w * diff.reshape(diff.shape[0], -1).sum(axis=1))
-            errs.append(float(np.max(per_time)))
+            errs.append(float(np.max(np.sqrt(quadrature(spec.grid, diff)))))
         errors.append(float(np.mean(errs)))
     levels = list(range(config.levels - 1))
     logs = np.log2(np.maximum(errors, 1e-300))

@@ -44,8 +44,8 @@ class Grid:
             raise ValueError(f"d must be 1, 2 or 3, got {self.d}")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"box length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"box length must be positive and finite, got {self.length}")
 
     @property
     def h(self) -> float:
@@ -145,7 +145,12 @@ def field_from_function(grid: Grid, fn) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# transforms and derivatives
+# transforms, derivatives and norms
+#
+# Every array function here acts on values of shape (..., *grid.shape): a
+# single field or a block with leading batch axes, each row on its own, so a
+# row's bits do not depend on its block.  Complex products fix their operand
+# order with np.multiply (the SIMD complex multiply is not bit-commutative).
 
 def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
     """fftn (ifftn) over the trailing d axes, one axis at a time in fftn's
@@ -157,16 +162,30 @@ def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarra
 
 
 def forward(u: Field) -> np.ndarray:
-    return np.fft.fftn(u.values)
+    return fft_trailing(u.values, u.grid.d)
 
 def inverse(grid: Grid, uhat: np.ndarray) -> Field:
-    return Field(grid, np.fft.ifftn(uhat))
+    return Field(grid, fft_trailing(uhat, grid.d, inverse=True))
+
+
+def quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """h^d sum over the grid of each row: the integral of each field."""
+    rows = values.reshape(values.shape[:values.ndim - grid.d] + (-1,))
+    return grid.cell_volume * rows.sum(axis=-1)
+
+
+def grad_sq_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """|grad u|_2^2 of each row by Parseval: h^d/n^d sum |k|^2 |u_hat|^2
+    (n^d is a power of two, so the division is exact)."""
+    vhat = fft_trailing(values, grid.d)
+    return quadrature(grid, grid.k_squared * (vhat.real ** 2 + vhat.imag ** 2)) / grid.n ** grid.d
 
 
 def gradient_arrays(grid: Grid, values: np.ndarray) -> list:
-    """Spectral partial derivatives of a raw value array, one per axis."""
-    vhat = np.fft.fftn(values)
-    return [np.fft.ifftn(1j * km * vhat) for km in grid.k_meshes]
+    """Spectral partial derivatives of each row, one array per axis."""
+    vhat = fft_trailing(values, grid.d)
+    return [fft_trailing(np.multiply(1j * km, vhat), grid.d, inverse=True)
+            for km in grid.k_meshes]
 
 
 def gradient(u: Field) -> list:
@@ -178,14 +197,15 @@ def gradient(u: Field) -> list:
 
 
 def laplacian(u: Field) -> Field:
-    vhat = np.fft.fftn(u.values)
-    return Field(u.grid, np.fft.ifftn(-u.grid.k_squared * vhat)).check_finite()
+    vhat = fft_trailing(u.values, u.grid.d)
+    lap = fft_trailing(np.multiply(-u.grid.k_squared, vhat), u.grid.d, inverse=True)
+    return Field(u.grid, lap).check_finite()
 
 
 def inner_product(u: Field, v: Field) -> complex:
     """<u, v> = h^d sum u conj(v)."""
     _same_grid(u, v)
-    return complex(u.grid.cell_volume * np.sum(u.values * np.conj(v.values)))
+    return complex(quadrature(u.grid, np.multiply(u.values, np.conj(v.values))))
 
 
 def lp_norm(u: Field, p: float) -> float:
@@ -194,16 +214,12 @@ def lp_norm(u: Field, p: float) -> float:
         return float(np.max(np.abs(u.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    a = np.abs(u.values)
-    return float((u.grid.cell_volume * np.sum(a ** p)) ** (1.0 / p))
+    return float(quadrature(u.grid, np.abs(u.values) ** p) ** (1.0 / p))
 
 
 def l2_norm_grad(u: Field) -> float:
     """L2 norm of the full gradient vector, sqrt(sum_a |d_a u|_2^2)."""
-    vhat = np.fft.fftn(u.values)
-    # Parseval: |d_a u|_2^2 = h^d/n^d * sum k_a^2 |uhat|^2
-    w = u.grid.cell_volume / u.grid.n ** u.grid.d
-    return float(np.sqrt(w * np.sum(u.grid.k_squared * np.abs(vhat) ** 2)))
+    return float(np.sqrt(grad_sq_norms(u.grid, u.values)))
 
 
 def h1_norm(u: Field) -> float:
@@ -232,10 +248,16 @@ def bump_symbol(r: np.ndarray) -> np.ndarray:
 
 def theta_m(u: Field, m: float) -> Field:
     """Fourier multiplier u_hat(k) -> bump(|k|/m) u_hat(k)."""
+    return Field(u.grid, theta_m_values(u.grid, u.values, m))
+
+
+def theta_m_values(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
+    """theta_m of each row."""
     if m <= 0:
         raise ValueError(f"cutoff scale m must be positive, got {m}")
-    sym = bump_symbol(u.grid.k_modulus / m)
-    return Field(u.grid, np.fft.ifftn(sym * np.fft.fftn(u.values)))
+    sym = bump_symbol(grid.k_modulus / m)
+    vhat = fft_trailing(values, grid.d)
+    return fft_trailing(np.multiply(sym, vhat), grid.d, inverse=True)
 
 
 def nyquist_cutoff(grid: Grid) -> float:

@@ -124,6 +124,21 @@ class TestSimulate:
                        "lambda = 1\nT = 1\ndt = 1e-3\n")
         assert main(["simulate", "--config", str(cfg)]) == 1
 
+    def test_boundary_trust_rule(self, tmp_path):
+        # a width-3 gaussian on a 16-wide box is about 3e-2 of its peak at the faces
+        cfg = write_cfg(tmp_path, NOISY_CFG.replace("initial = gaussian",
+                                                    "initial = gaussian\nwidth = 3.0"),
+                        m=1, levels=1, paths=1)
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = read_summary(tmp_path)
+        assert float(summary["direct_boundary_max"]) > 1e-8
+        assert summary["direct_boundary_trusted"] == "false"
+        cfg = write_cfg(tmp_path, SOLITON_CFG)
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = read_summary(tmp_path)
+        assert float(summary["direct_boundary_max"]) < 1e-8
+        assert summary["direct_boundary_trusted"] == "true"
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=1)
         main(["simulate", "--config", cfg, "--seed", "111",
@@ -253,6 +268,21 @@ class TestVerifyIdentities:
         med = [float(summary[f"identity_mass_median_level_{lv}"]) for lv in range(3)]
         assert med[0] > med[1] > med[2]
         assert med[0] < 0.1
+
+    @pytest.mark.parametrize("good,bad", [("m = 1\n", "m = 1.5\n"),
+                                          ("mu_re = 1.0", "mu_re = x"),
+                                          ("n = 64", "n = 60"),
+                                          ("levels = 2", "levels = x"),
+                                          ("dt = 2e-3", "dt = nan"),
+                                          ("L = 16.0", "L = nan")],
+                             ids=["m", "mu_re", "n", "levels", "dt", "L"])
+    def test_bad_value_is_an_error(self, tmp_path, capsys, good, bad):
+        text = NOISY_CFG.format(out=tmp_path / "out", m=1, levels=2, paths=1)
+        assert good in text
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text.replace(good, bad))
+        assert main(["verify-identities", "--config", str(cfg)]) == 1
+        assert "snls: error:" in capsys.readouterr().err
 
 
 class TestConvergence:

@@ -141,7 +141,6 @@ def config_strategy():
             threads=st.integers(min_value=0, max_value=8),
         ),
         verify=st.builds(VerifySection,
-                         identities=st.booleans(),
                          levels=st.integers(min_value=1, max_value=5),
                          paths=st.integers(min_value=1, max_value=64)),
     )

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import snls.identities
 from snls.dynamics import ProblemSpec, SolveOptions, StepFlags, solve_direct
-from snls.identities import (StrideError, h1_identity, hamiltonian_identity,
-                             lp_identity, mass_identity)
+from snls.identities import (ALL_IDENTITIES, StrideError, h1_identity,
+                             hamiltonian_identity, lp_identity, mass_identity)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
                         sample_path)
 from snls.spectral import Field, Grid
@@ -73,6 +76,47 @@ class TestReportStructure:
         lines = out.read_text().splitlines()
         assert lines[1].startswith("t,residual,term_1")
         assert len(lines) == 2 + len(rep.times)
+
+
+class TestChunking:
+    """Snapshots are stacked in chunks of CHUNK_POINTS grid points (32 rows
+    at n = 64); a report must not depend on where the chunks fall."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        model = build_model([NoiseMode(0.8 + 0.3j, GaussianProfile(1.0, 3.0, (0, 0, 0))),
+                             NoiseMode(-0.4 + 0.1j, GaussianProfile(0.6, 2.0, (1, 0, 0)))],
+                            GRID)
+        spec = ProblemSpec(GRID, model, 3.0, 1, 0.1)
+        path = sample_path(model, 0.1, 100, seed=11)
+        return spec, path, solve_direct(gaussian(0.8), path, spec, STRIDE1)
+
+    @staticmethod
+    def assert_prefix(short, full, k):
+        assert list(short.terms) == list(full.terms)
+        for a, b in [(short.lhs, full.lhs), (short.residual, full.residual)] + [
+                (short.terms[t], full.terms[t]) for t in full.terms]:
+            assert len(a) == k
+            assert a.tobytes() == b[:k].tobytes()
+
+    @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
+    @pytest.mark.parametrize("k", [45, 70])
+    def test_cut_trajectory_is_a_prefix(self, run, name, k):
+        spec, path, traj = run
+        rows = snls.identities.CHUNK_POINTS // GRID.n
+        assert k % rows != 0 and len(traj.times) % rows != 0
+        cut = replace(traj, times=traj.times[:k], snapshot_indices=traj.snapshot_indices[:k],
+                      snapshots=traj.snapshots[:k])
+        fn = ALL_IDENTITIES[name]
+        self.assert_prefix(fn(cut, path, spec.model, spec), fn(traj, path, spec.model, spec), k)
+
+    @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
+    def test_one_snapshot_chunks_give_the_same_report(self, run, name, monkeypatch):
+        spec, path, traj = run
+        fn = ALL_IDENTITIES[name]
+        full = fn(traj, path, spec.model, spec)
+        monkeypatch.setattr(snls.identities, "CHUNK_POINTS", 1)
+        self.assert_prefix(fn(traj, path, spec.model, spec), full, len(traj.times))
 
 
 class TestMassIdentity:

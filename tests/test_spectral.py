@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from snls.spectral import (BOUNDARY_DECAY_TOL, Field, Grid, GridMismatchError,
                            boundary_ratio, bump_symbol, field_from_function,
-                           gradient, h1_norm, inner_product, laplacian,
-                           lp_norm, nyquist_cutoff, theta_m, zero_field)
+                           grad_sq_norms, gradient, gradient_arrays, h1_norm,
+                           inner_product, laplacian, lp_norm, nyquist_cutoff,
+                           quadrature, theta_m, theta_m_values, zero_field)
 
 
 def random_field(grid, seed=0, band_limit=None):
@@ -265,3 +266,28 @@ class TestBoundaryMonitor:
 
     def test_zero_field(self):
         assert boundary_ratio(zero_field(Grid(1, 64, 16.0))) == 0.0
+
+
+class TestRowwise:
+    """A (B, *shape) stack gives each row the bits of its single-row call."""
+
+    @pytest.mark.parametrize("grid,rows", [(Grid(1, 64, 16.0), 32), (Grid(2, 16, 8.0), 8),
+                                           (Grid(3, 8, 4.0), 4)])
+    def test_stack_equals_single_rows(self, grid, rows):
+        stack = np.stack([random_field(grid, seed).values for seed in range(rows)])
+        batched = {
+            "quadrature": quadrature(grid, stack.real ** 2 + stack.imag ** 2),
+            "grad_sq_norms": grad_sq_norms(grid, stack),
+            "theta_m": theta_m_values(grid, stack, 2.0),
+        }
+        grads = gradient_arrays(grid, stack)
+        for b, row in enumerate(stack):
+            single = {
+                "quadrature": quadrature(grid, row.real ** 2 + row.imag ** 2),
+                "grad_sq_norms": grad_sq_norms(grid, row),
+                "theta_m": theta_m_values(grid, row, 2.0),
+            }
+            for name, value in single.items():
+                assert batched[name][b].tobytes() == np.asarray(value).tobytes(), name
+            for g_stack, g_row in zip(grads, gradient_arrays(grid, row)):
+                assert g_stack[b].tobytes() == g_row.tobytes()
