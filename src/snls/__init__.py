@@ -6,8 +6,8 @@ from .spectral import (Field, Grid, GridMismatchError, NumericFailure,
                        inner_product, laplacian, lp_norm, nyquist_cutoff,
                        theta_m, zero_field)
 from .noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
-                    NoiseModel, WienerPath, build_model, eval_W, refine_path,
-                    sample_path)
+                    NoiseModel, WienerPath, build_model, eval_W, ladder_paths,
+                    refine_path, sample_path)
 from .functionals import gn_probe, gn_theta, hamiltonian, mass
 from .dynamics import (BlowupThresholds, CFLError, NoContractionError,
                        PicardDiagnostics, ProblemSpec, Regime, RegimeError,
@@ -19,9 +19,10 @@ from .dynamics import (BlowupThresholds, CFLError, NoContractionError,
 from .identities import (IdentityReport, StrideError, h1_identity,
                          hamiltonian_identity, lp_identity, mass_identity)
 from .montecarlo import (ContinuityReport, ConvergenceReport, EnsembleConfig,
-                         EnsembleReport, MartingaleResult, MomentReport,
-                         continuity_probe, convergence_order, martingale_test,
-                         moment_monitor, run_ensemble)
+                         EnsembleReport, IdentityLadder, MartingaleResult,
+                         MomentReport, continuity_probe, convergence_order,
+                         identity_ladder, martingale_test, moment_monitor,
+                         run_ensemble)
 from .config import (ConfigError, RunConfig, build_initial, build_problem,
                      parse_config, read_snapshot, serialize_config,
                      write_snapshot)

@@ -15,14 +15,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (ConfigError, RunConfig, build_initial, build_problem,
-                     parse_config, solve_options, write_snapshot)
-from .dynamics import (NoContractionError, RegimeError, Trajectory,
-                       rescaled_to_X, solve_direct, solve_rescaled)
+from .config import (ConfigError, RunConfig, SnapshotError, build_initial,
+                     build_problem, parse_config, solve_options, write_snapshot)
+from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory,
+                       solve_direct, solve_rescaled)
 from .identities import ALL_IDENTITIES
-from .montecarlo import (EnsembleConfig, convergence_order, martingale_test,
-                         moment_monitor, run_ensemble)
-from .noise import refine_path, sample_path
+from .montecarlo import (EnsembleConfig, convergence_order, identity_ladder,
+                         martingale_test, moment_monitor, run_ensemble)
+from .noise import ladder_paths, sample_path
 from .spectral import BOUNDARY_DECAY_TOL, NumericFailure
 
 
@@ -133,31 +133,18 @@ def cmd_verify_identities(args) -> int:
     x = build_initial(cfg, spec.grid)
     levels = max(1, cfg.verify.levels)
     n_paths = max(1, cfg.verify.paths)
-    opts = solve_options(cfg, stride=1)
-    rescaled = cfg.scheme == "rescaled"
-    solver = solve_rescaled if rescaled else solve_direct
-
-    terminal = {name: np.zeros((n_paths, levels)) for name in ALL_IDENTITIES}
-    sample_reports = {}
-    for pid in range(n_paths):
-        path = sample_path(spec.model, spec.T, cfg.n_steps, cfg.run.seed, pid)
-        for level in range(levels):
-            traj = solver(x, path, spec, opts)
-            if rescaled:   # the identities hold for X = e^W y, not for y
-                traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
-            for name, fn in ALL_IDENTITIES.items():
-                rep = fn(traj, path, spec.model, spec)
-                terminal[name][pid, level] = abs(rep.terminal_residual)
-                if pid == 0 and level == levels - 1:
-                    sample_reports[name] = rep
-            if level + 1 < levels:
-                path = refine_path(path)
+    econf = EnsembleConfig(
+        n_paths=n_paths, seed=cfg.run.seed, n_steps=cfg.n_steps, levels=levels,
+        width=cfg.run.threads or None,
+        scheme="direct" if cfg.scheme == "both" else cfg.scheme,
+        options=solve_options(cfg))
+    ladder = identity_ladder(x, spec, econf)
 
     summary = ["command=verify-identities", f"seed={cfg.run.seed}",
                f"paths={n_paths}", f"levels={levels}"]
     all_ok = True
     for name in ALL_IDENTITIES:
-        med = np.median(terminal[name], axis=0)
+        med = np.median(ladder.terminal[name], axis=0)
         for lv, val in enumerate(med):
             summary.append(f"identity_{name}_median_level_{lv}={float(val)!r}")
         monotone = bool(np.all(np.diff(med) < 0)) if levels > 1 else True
@@ -167,8 +154,10 @@ def cmd_verify_identities(args) -> int:
         summary.append(f"identity_{name}_monotone={str(monotone).lower()}")
         summary.append(f"identity_{name}_terminal={float(med[-1])!r}")
         all_ok = all_ok and monotone
-        sample_reports[name].to_csv(os.path.join(out, f"identity_{name}.csv"))
+        ladder.finest[name].to_csv(os.path.join(out, f"identity_{name}.csv"))
     summary.append(f"identities_pass={str(all_ok).lower()}")
+    summary.append(f"boundary_max={ladder.boundary_max!r}")
+    summary.append(f"boundary_trusted={str(ladder.boundary_max < BOUNDARY_DECAY_TOL).lower()}")
     _write_summary(os.path.join(out, "summary.txt"), summary)
     return 0
 
@@ -205,16 +194,14 @@ def cmd_blowup_scan(args) -> int:
     opts = solve_options(cfg, record_snapshots=False)
     summary = ["command=blowup-scan", f"seed={cfg.run.seed}",
                f"regime={cfg.regime.tag}"]
-    path = sample_path(spec.model, spec.T, cfg.n_steps, cfg.run.seed)
     t_stars = []
-    for level in range(levels):
+    ladder = ladder_paths(spec.model, spec.T, cfg.n_steps, cfg.run.seed, [0], levels)
+    for level, (path,) in enumerate(ladder):
         traj = solve_direct(x, path, spec, opts)
         t_star = traj.status.t if traj.status.kind == "blowup" else None
         summary.append(f"blowup_level_{level}="
                        + (repr(float(t_star)) if t_star is not None else "none"))
         t_stars.append(t_star)
-        if level + 1 < levels:
-            path = refine_path(path)
     raised = all(t is not None for t in t_stars)
     summary.append(f"blowup_detected={str(raised).lower()}")
     if raised:
@@ -252,8 +239,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, RegimeError, NoContractionError, NumericFailure,
-            OSError) as exc:
+    except (ConfigError, SnapshotError, RegimeError, NoContractionError, CFLError,
+            NumericFailure, OSError) as exc:
         print(f"snls: error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,9 +18,10 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (ProblemSpec, RegimeError, SolveOptions, solve_block,
-                       solve_direct, solve_rescaled)
-from .noise import refine_path, sample_path
+from .dynamics import (ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
+                       solve_block, solve_direct, solve_rescaled)
+from .identities import ALL_IDENTITIES
+from .noise import ladder_paths, sample_path
 from .spectral import Field, Grid, h1_norm, quadrature
 
 BLOCK_POINTS = 8192
@@ -131,9 +132,8 @@ def _map_blocks(task, n_paths: int, block: int, width: int) -> list:
 
 
 def _ensemble_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
-    paths = [sample_path(spec.model, spec.T, config.n_steps, config.seed, pid) for pid in ids]
-    for _ in range(config.levels - 1):
-        paths = [refine_path(p) for p in paths]
+    *_, paths = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids,
+                             config.levels)
     n_times = paths[0].n_steps + 1
     return [({obs: np.concatenate([tr.diagnostic(obs), np.full(n_times - len(tr.times), np.nan)])
               for obs in config.observables}, tr.status)
@@ -249,32 +249,33 @@ class ConvergenceReport:
     order: float
     inconclusive: bool
     scheme: str
+    unfinished_paths: int     # paths left out: not finished at every level
 
     def summary_lines(self):
         yield f"convergence_scheme={self.scheme}"
         for lv, e in zip(self.levels, self.errors):
             yield f"convergence_error_level_{lv}={e!r}"
         yield f"convergence_order={self.order:.4f}"
+        yield f"convergence_unfinished_paths={self.unfinished_paths}"
         yield f"convergence_inconclusive={str(self.inconclusive).lower()}"
 
 
 def _terminal_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                     sup_over_time: bool, ids) -> list:
-    paths = [sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
-             for pid in ids]
+    """Per path, its stacked states at each level, or None if it did not
+    finish every level."""
     finals = [[] for _ in ids]
-    for level in range(config.levels):
+    ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
+    for level, paths in enumerate(ladder):
         # sup-in-t keeps states at every base-grid time (memory-budget mode);
         # the default keeps the terminal state only
         stride = 2 ** level if sup_over_time else paths[0].n_steps
         opts = replace(config.options, record_snapshots=True, stride=stride)
-        trajs = solve_block(x, paths, spec, opts, config.scheme)
-        for path_id, traj, fin in zip(ids, trajs, finals):
+        for b, traj in enumerate(solve_block(x, paths, spec, opts, config.scheme)):
             if traj.status.kind != "finished":
-                raise RegimeError(f"path {path_id} level {level}: {traj.status.kind}")
-            fin.append(np.stack([s.values for s in traj.snapshots]))
-        if level + 1 < config.levels:
-            paths = [refine_path(p) for p in paths]
+                finals[b] = None
+            elif finals[b] is not None:
+                finals[b].append(np.stack([s.values for s in traj.snapshots]))
     return finals
 
 
@@ -283,15 +284,20 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     """Strong L2 errors against the finest of `levels` coupled dt levels,
     with the fitted log2 slope.  Errors are taken at the horizon unless
     sup_over_time is set, which compares at every base-grid time and costs
-    the full trajectory storage per level."""
+    the full trajectory storage per level.  A path that does not finish at
+    every level is left out of the errors and makes the report inconclusive;
+    RegimeError if no path finishes."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
     results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time),
                           config.n_paths, block_size(spec.grid), ensemble_width(config))
+    finished = [finals for finals in results if finals is not None]
+    if not finished:
+        raise RegimeError(f"convergence: none of {config.n_paths} paths finished every level")
     errors = []
     for level in range(config.levels - 1):
         errs = []
-        for finals in results:
+        for finals in finished:
             diff = np.abs(finals[level] - finals[-1]) ** 2
             errs.append(float(np.max(np.sqrt(quadrature(spec.grid, diff)))))
         errors.append(float(np.mean(errs)))
@@ -299,7 +305,50 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     logs = np.log2(np.maximum(errors, 1e-300))
     slope = float(np.polyfit(levels, logs, 1)[0])
     monotone = all(a > b for a, b in zip(errors, errors[1:]))
-    return ConvergenceReport(levels, errors, -slope, not monotone, config.scheme)
+    unfinished = len(results) - len(finished)
+    return ConvergenceReport(levels, errors, -slope, not monotone or unfinished > 0,
+                             config.scheme, unfinished)
+
+
+# ---------------------------------------------------------------------------
+# Ito-identity ladder
+
+@dataclass
+class IdentityLadder:
+    terminal: dict            # identity -> (n_paths, levels) |terminal residual|
+    finest: dict              # identity -> IdentityReport of path 0, finest level
+    boundary_max: float       # largest boundary ratio over paths, levels and steps
+
+
+def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
+    options = replace(config.options, record_snapshots=True, stride=1)
+    terminal = np.zeros((len(ids), len(ALL_IDENTITIES), config.levels))
+    boundary = np.zeros((len(ids), config.levels))
+    finest = [None] * len(ids)
+    ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
+    for level, paths in enumerate(ladder):
+        trajs = solve_block(x, paths, spec, options, config.scheme)
+        for b, path in enumerate(paths):
+            traj, trajs[b] = trajs[b], None    # free each trajectory once checked
+            boundary[b, level] = np.max(traj.diagnostic("boundary"))
+            if config.scheme == "rescaled":   # the identities hold for X = e^W y, not for y
+                traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
+            reports = {name: fn(traj, path, spec.model, spec)
+                       for name, fn in ALL_IDENTITIES.items()}
+            terminal[b, :, level] = [abs(r.terminal_residual) for r in reports.values()]
+            if ids[b] == 0 and level == config.levels - 1:
+                finest[b] = reports
+    return list(zip(terminal, boundary, finest))
+
+
+def identity_ladder(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> IdentityLadder:
+    """Every Ito identity on each of n_paths paths at each of `levels` coupled
+    dt levels, solved in path blocks with snapshots at every step."""
+    results = _map_blocks(partial(_identity_block, x, spec, config), config.n_paths,
+                          block_size(spec.grid), ensemble_width(config))
+    terminal = np.stack([r[0] for r in results])
+    return IdentityLadder({name: terminal[:, k] for k, name in enumerate(ALL_IDENTITIES)},
+                          results[0][2], float(np.max([r[1] for r in results])))
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +360,6 @@ class ContinuityReport:
     ratios: np.ndarray        # (n_paths, n_deltas)
     spread: float             # max over paths of max/min across deltas
     bounded: bool
-
-    def summary_lines(self):
-        yield f"continuity_spread={self.spread:.6g}"
-        yield f"continuity_bounded={str(self.bounded).lower()}"
 
 
 def continuity_probe(x: Field, deltas, spec: ProblemSpec, config: EnsembleConfig,

@@ -207,6 +207,18 @@ def refine_path(path: WienerPath) -> WienerPath:
     return WienerPath(times, fine, path.seed, path.path_id, level=path.level + 1)
 
 
+def ladder_paths(model: NoiseModel, T: float, n_steps: int, seed: int,
+                 path_ids, levels: int):
+    """Coupled dyadic ladder: yields the path list of `path_ids` at each of
+    `levels` levels, level 0 sampled on n_steps steps and each next level
+    the bridge refinement of the one before."""
+    paths = [sample_path(model, T, n_steps, seed, pid) for pid in path_ids]
+    for level in range(levels):
+        if level:
+            paths = [refine_path(p) for p in paths]
+        yield paths
+
+
 def eval_W(model: NoiseModel, path: WienerPath, t_index: int) -> Field:
     """W(t_i, .) = sum_j phi_j beta_j(t_i) as a complex Field."""
     if not 0 <= t_index <= path.n_steps:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 import snls.cli
 from snls.cli import main
 from snls.config import read_snapshot
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 SOLITON_CFG = """
 [problem]
@@ -139,6 +142,28 @@ class TestSimulate:
         assert float(summary["direct_boundary_max"]) < 1e-8
         assert summary["direct_boundary_trusted"] == "true"
 
+    def test_shipped_conservative_config_is_trusted(self, tmp_path):
+        cfg = str(CONFIGS / "conservative.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        summary = read_summary(tmp_path)
+        assert summary["direct_boundary_trusted"] == "true"
+        assert summary["rescaled_boundary_trusted"] == "true"
+
+    @pytest.mark.parametrize("edit", ["cfl", "snapshot"])
+    def test_solver_and_snapshot_errors_exit_one(self, tmp_path, capsys, edit):
+        text = (CONFIGS / "soliton.cfg").read_text()
+        if edit == "cfl":       # dt * max|k|^2 = 3.2 on n = 512, L = 40
+            text = text.replace("scheme = direct", "scheme = rescaled") \
+                       .replace("dt = 1e-3", "dt = 2e-3")
+        else:
+            snap = tmp_path / "short.bin"
+            snap.write_bytes(b"SNLS\x01\x00\x01")
+            text = text.replace("initial = soliton", f"initial = file\npath = {snap}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("snls: error:")
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=1)
         main(["simulate", "--config", cfg, "--seed", "111",
@@ -242,6 +267,20 @@ class TestVerifyIdentities:
         summary = read_summary(tmp_path)
         for name in ("mass", "hamiltonian", "lp", "h1"):
             assert float(summary[f"identity_{name}_terminal"]) <= 1e-10
+
+    @pytest.mark.parametrize("config,trusted", [("identities", "true"),
+                                                ("conservative_exact", "false")])
+    def test_boundary_trust_rule(self, tmp_path, config, trusted):
+        # a localised gaussian stays ~1e-11 of its peak at the faces; a plane
+        # wave is as large there as anywhere (ratio 1)
+        text = CONFIGS.joinpath(f"{config}.cfg").read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("paths = 32", "paths = 2").replace("paths = 8", "paths = 2"))
+        assert main(["verify-identities", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = read_summary(tmp_path)
+        assert (float(summary["boundary_max"]) < 1e-8) == (trusted == "true")
+        assert summary["boundary_trusted"] == trusted
 
     def test_summary_and_csv(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=4)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from snls.config import (ConfigError, InitialSpec, ModeConfig, RunConfig,
                          serialize_config, write_snapshot)
 from snls.dynamics import StepFlags
 from snls.spectral import Field, Grid
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
 
 MINIMAL = """
 [problem]
@@ -246,3 +249,11 @@ profile = gaussian
         assert spec.grid.n == 64
         assert spec.model.conservative
         assert spec.regime.tag == "defocusing-subcritical"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_builds(path):
+    cfg = parse_config(path.read_text())
+    spec = build_problem(cfg)
+    x = build_initial(cfg, spec.grid)
+    assert x.grid == spec.grid

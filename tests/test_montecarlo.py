@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from snls.dynamics import (BlowupThresholds, ProblemSpec, RegimeError,
-                           SolveOptions, StepFlags)
+                           SolveOptions, StepFlags, rescaled_to_X, solve_direct,
+                           solve_rescaled)
+from snls.identities import (h1_identity, hamiltonian_identity, lp_identity,
+                             mass_identity)
 from snls.montecarlo import (EnsembleConfig, block_size, continuity_probe,
                              convergence_order, estimate_mass_bias,
-                             martingale_test, moment_monitor, run_ensemble)
-from snls.noise import GaussianProfile, NoiseMode, build_model
-from snls.spectral import Field, Grid
+                             identity_ladder, martingale_test, moment_monitor,
+                             run_ensemble)
+from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
+                        sample_path)
+from snls.spectral import Field, Grid, quadrature
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -250,6 +257,84 @@ class TestConvergenceOrder:
         for a, b in zip(sup.errors, at_T.errors):
             assert a >= b
         assert not sup.inconclusive
+
+    def test_unfinished_path_left_out(self):
+        spec = spec_with_mode(1.0 + 0j)
+        base = dict(n_paths=6, seed=3, n_steps=50, levels=3, width=1)
+        thresholds = one_crossing_thresholds(gaussian(), spec,
+                                             EnsembleConfig(**base, options=NOSNAP))
+        opts = SolveOptions(record_snapshots=False, thresholds=thresholds)
+        rep = convergence_order(gaussian(), spec, EnsembleConfig(**base, options=opts))
+        assert rep.unfinished_paths == 1 and rep.inconclusive
+        assert "convergence_unfinished_paths=1" in rep.summary_lines()
+        # reference: the strong errors of the paths that finished every level
+        errs = []
+        for pid in range(6):
+            path = sample_path(spec.model, spec.T, 50, 3, pid)
+            finals = []
+            for level in range(3):
+                traj = solve_direct(gaussian(), path, spec,
+                                    replace(opts, record_snapshots=True, stride=path.n_steps))
+                finals.append(traj.snapshots[-1].values if traj.status.kind == "finished" else None)
+                path = refine_path(path)
+            if all(f is not None for f in finals):
+                errs.append([float(np.sqrt(quadrature(GRID, np.abs(f - finals[-1]) ** 2)))
+                             for f in finals[:-1]])
+        assert len(errs) == 5
+        assert rep.errors == np.mean(errs, axis=0).tolist()
+
+    def test_no_finished_path_is_regime_error(self):
+        spec = spec_with_mode(1.0 + 0j)
+        config = EnsembleConfig(
+            n_paths=3, seed=3, n_steps=50, levels=3, width=1,
+            options=SolveOptions(record_snapshots=False,
+                                 thresholds=BlowupThresholds(h1_factor=0.5)))
+        with pytest.raises(RegimeError):
+            convergence_order(gaussian(), spec, config)
+
+
+def hand_identity_ladder(x, spec, config):
+    """Reference for identity_ladder: one path at a time, one level at a time."""
+    solver = solve_rescaled if config.scheme == "rescaled" else solve_direct
+    terminal = np.zeros((config.n_paths, 4, config.levels))
+    boundary = 0.0
+    for pid in range(config.n_paths):
+        path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
+        for level in range(config.levels):
+            traj = solver(x, path, spec, SolveOptions(stride=1))
+            boundary = max(boundary, float(np.max(traj.diagnostic("boundary"))))
+            if config.scheme == "rescaled":
+                traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
+            reports = [mass_identity(traj, path, spec.model),
+                       hamiltonian_identity(traj, path, spec.model, spec),
+                       lp_identity(traj, path, spec.model, spec),
+                       h1_identity(traj, path, spec.model, spec)]
+            terminal[pid, :, level] = [abs(r.terminal_residual) for r in reports]
+            if pid == 0 and level == config.levels - 1:
+                finest = reports
+            path = refine_path(path)
+    return terminal, finest, boundary
+
+
+class TestIdentityLadder:
+    @pytest.mark.parametrize("scheme,grid,n_paths", [
+        ("direct", Grid(1, 256, 32.0), 40),     # blocks of 32 + 8
+        ("rescaled", GRID, 4),
+    ])
+    def test_matches_hand_loop_at_widths_1_and_2(self, scheme, grid, n_paths):
+        spec = spec_with_mode(1.0 + 0j, T=0.05, grid=grid)
+        x = gaussian(grid=grid)
+        config = EnsembleConfig(n_paths=n_paths, seed=6, n_steps=20, levels=2, width=1,
+                                scheme=scheme)
+        terminal, finest, boundary = hand_identity_ladder(x, spec, config)
+        for width in (1, 2):
+            ladder = identity_ladder(x, spec, replace(config, width=width))
+            names = list(ladder.terminal)
+            assert names == ["mass", "hamiltonian", "lp", "h1"]
+            for k, name in enumerate(names):
+                assert np.array_equal(ladder.terminal[name], terminal[:, k])
+                assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
+            assert ladder.boundary_max == boundary
 
 
 class TestContinuityProbe:
