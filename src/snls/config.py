@@ -107,8 +107,15 @@ class RunConfig:
         return classify(self.d, self.alpha, self.lam)
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _floats(text: str) -> tuple:
-    return tuple(float(tok) for tok in text.split())
+    return tuple(_finite(tok) for tok in text.split())
 
 def _ints(text: str) -> tuple:
     return tuple(int(tok) for tok in text.split())
@@ -185,11 +192,11 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown("problem", prob, _PROBLEM_KEYS)
     d = _value("problem", prob, "d", int)
     n = _value("problem", prob, "n", int)
-    length = _value("problem", prob, "l", float)
-    alpha = _value("problem", prob, "alpha", float)
+    length = _value("problem", prob, "l", _finite)
+    alpha = _value("problem", prob, "alpha", _finite)
     lam = _value("problem", prob, "lambda", int)
-    T = _value("problem", prob, "t", float)
-    dt = _value("problem", prob, "dt", float)
+    T = _value("problem", prob, "t", _finite)
+    dt = _value("problem", prob, "dt", _finite)
     scheme = prob.get("scheme", "direct")
     if scheme not in _SCHEMES:
         raise ConfigError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
@@ -199,8 +206,8 @@ def parse_config(text: str) -> RunConfig:
     default_amp = math.sqrt(2.0) if kind == "soliton" else 1.0
     initial = InitialSpec(
         kind=kind,
-        amplitude=_value("problem", prob, "amplitude", float, repr(default_amp)),
-        width=_value("problem", prob, "width", float, "1.0"),
+        amplitude=_value("problem", prob, "amplitude", _finite, repr(default_amp)),
+        width=_value("problem", prob, "width", _finite, "1.0"),
         center=_pad3(_value("problem", prob, "center", _floats, "0 0 0")),
         kmode=_pad3(_value("problem", prob, "kmode", _ints, "1 0 0"), fill=0),
         path=prob.get("path", ""),
@@ -221,11 +228,11 @@ def parse_config(text: str) -> RunConfig:
         if profile not in _PROFILES:
             raise ConfigError(f"profile must be one of {_PROFILES}, got {profile!r} in [{name}]")
         modes.append(ModeConfig(
-            mu_re=_value(name, sec, "mu_re", float),
-            mu_im=_value(name, sec, "mu_im", float),
+            mu_re=_value(name, sec, "mu_re", _finite),
+            mu_im=_value(name, sec, "mu_im", _finite),
             profile=profile,
-            height=_value(name, sec, "height", float, "1.0"),
-            width=_value(name, sec, "width", float, "1.0"),
+            height=_value(name, sec, "height", _finite, "1.0"),
+            width=_value(name, sec, "width", _finite, "1.0"),
             center=_pad3(_value(name, sec, "center", _floats, "0 0 0")),
             kmode=_pad3(_value(name, sec, "kmode", _ints, "1 0 0"), fill=0),
         ))
@@ -238,8 +245,8 @@ def parse_config(text: str) -> RunConfig:
         seed=_value("run", runsec, "seed", int, "0"),
         stride=_value("run", runsec, "stride", int, "1"),
         out=runsec.get("out", "out"),
-        h1_blowup_factor=_value("run", runsec, "h1_blowup_factor", float, "1e6"),
-        spacetime_blowup_factor=_value("run", runsec, "spacetime_blowup_factor", float, "1e6"),
+        h1_blowup_factor=_value("run", runsec, "h1_blowup_factor", _finite, "1e6"),
+        spacetime_blowup_factor=_value("run", runsec, "spacetime_blowup_factor", _finite, "1e6"),
         flags=_flags_from_tokens(runsec.get("flags", "").split()),
         threads=_value("run", runsec, "threads", int, "0"),
     )

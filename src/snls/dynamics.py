@@ -407,13 +407,14 @@ def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
 _STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
 
 
-def solve_block(x: Field, paths: list, spec: ProblemSpec,
+def solve_block(x, paths: list, spec: ProblemSpec,
                 options: SolveOptions = SolveOptions(),
                 scheme: str = "direct") -> list:
-    """Integrate one scheme from x along each of `paths` (one time grid),
-    stepped together as one block; one Trajectory per path (y-variables for
-    the rescaled scheme).  Each path keeps its own finite check, blowup
-    crossing, status and stop index; a stopped path is zeroed."""
+    """Integrate one scheme along each of `paths` (one time grid), stepped as
+    one block from x: one Field for every path, or a (B, *grid.shape) stack of
+    one initial state per path.  One Trajectory per path (y-variables for the
+    rescaled scheme); each keeps its own finite check, blowup crossing, status
+    and stop index, and a stopped path is zeroed."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -424,7 +425,8 @@ def solve_block(x: Field, paths: list, spec: ProblemSpec,
     stepper = _STEPPERS[scheme](spec, paths, options.flags)
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
     q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
-    v = np.repeat(x.values.astype(np.complex128)[None], n_paths, axis=0)
+    x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
+    v = np.array(x0, dtype=np.complex128, order="C")
     row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
     series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in row}
     for k, s in series.items():
@@ -537,8 +539,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
     """
     if window_policy not in ("adaptive", "fixed"):
         raise ValueError(f"unknown window policy {window_policy!r}")
-    grid = spec.grid
-    dt = path.dt
+    grid, dt = spec.grid, path.dt
     if tau is None:
         tau = path.horizon
     K = int(round(tau / dt))
@@ -549,32 +550,30 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
     stepper = _RescaledStepper(spec, [path], lin_flags)
     trace = []
 
-    def envelope(i):
-        if spec.model.n_modes == 0:
-            return 1.0
-        W = eval_W(spec.model, path, i).values
-        return np.exp((spec.alpha - 1.0) * W.real)
-
     while True:
-        # free part u_i = U(t_i, 0)x, computed once per window size
-        u = [x.values.astype(np.complex128)[None]]
+        # free part u_i = U(t_i, 0)x and envelopes, one row per grid time,
+        # computed once per window size
+        u = np.empty((K + 1, *grid.shape), dtype=np.complex128)
+        u[0] = x.values
         for i in range(K):
-            u.append(stepper.step(u[i], i))
-        envs = [envelope(i) for i in range(K + 1)]
+            u[i + 1] = stepper.step(u[i:i + 1], i)[0]
+        envs = 1.0 if spec.model.n_modes == 0 else np.exp(
+            (spec.alpha - 1.0) * np.stack([eval_W(spec.model, path, i).values.real
+                                           for i in range(K + 1)]))
 
-        y = [w.copy() for w in u]
+        y = u.copy()
         distances = []
         converged = False
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                f = [envs[i] * guarded_abs_power(y[i], spec.alpha - 1.0) * y[i]
-                     for i in range(K + 1)]
-                new = [u[0]]
-                v = np.zeros_like(u[0])
+                f = envs * guarded_abs_power(y, spec.alpha - 1.0) * y
+                v = np.zeros_like(u)
                 for i in range(K):
-                    v = stepper.step(v + (0.5 * dt) * f[i], i) + (0.5 * dt) * f[i + 1]
-                    new.append(u[i + 1] - 1j * spec.lam * v)
-                diff = np.concatenate(new) - np.concatenate(y)
+                    v[i + 1] = (stepper.step(v[i:i + 1] + (0.5 * dt) * f[i], i)[0]
+                                + (0.5 * dt) * f[i + 1])
+                new = u - 1j * spec.lam * v
+                new[0] = u[0]
+                diff = new - y
                 dist = float(np.sqrt(quadrature(grid, diff.real ** 2 + diff.imag ** 2)).max())
                 distances.append(dist)
                 y = new
@@ -592,7 +591,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
         trace.append((K * dt, factor, accepted))
         if accepted:
             diag = PicardDiagnostics(K * dt, len(distances), distances, factor, trace)
-            return Field(grid, y[K]), diag
+            return Field(grid, y[K].copy()), diag
         if window_policy == "fixed":
             raise NoContractionError(
                 f"fixed window tau={K * dt} did not converge "

@@ -57,12 +57,17 @@ class IdentityReport:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _check_stride(traj: Trajectory, path: WienerPath):
+def _prepare(traj: Trajectory, path: WienerPath, model: NoiseModel):
+    """(n snapshots, whether noise terms enter, the left-point increment
+    starting at each snapshot), after checking the snapshots are per-step."""
     n = len(traj.times)
     if traj.snapshot_indices != list(range(n)):
         raise StrideError("identity checks require per-step snapshots (stride 1)")
     if n - 1 > path.n_steps or abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
         raise StrideError("trajectory and path live on different time grids")
+    # the last snapshot starts no increment
+    db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
+    return n, traj.flags.noise and model.n_modes > 0, db
 
 
 CHUNK_POINTS = 2048
@@ -78,11 +83,6 @@ def _chunks(traj: Trajectory, grid: Grid):
     for a in range(0, len(snaps), size):
         block = snaps[a:a + size]
         yield slice(a, a + len(block)), np.stack([s.values for s in block])
-
-
-def _left_increments(path: WienerPath, n: int) -> np.ndarray:
-    """Increments starting at each of the n snapshots; the last starts none."""
-    return np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
 
 
 def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
@@ -103,11 +103,8 @@ def _report(name, traj, path, lhs, terms) -> IdentityReport:
 
 def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> IdentityReport:
     """|X(t)|_2^2 against |x|_2^2 + 2 sum_j int Re mu_j <X, X e_j> dbeta_j."""
-    _check_stride(traj, path)
+    n, use_noise, db = _prepare(traj, path, model)
     grid = model.grid
-    n = len(traj.times)
-    use_noise = traj.flags.noise and model.n_modes > 0
-    db = _left_increments(path, n)
     lhs = np.empty(n)
     noise_incr = np.zeros(n)
     for rows, v in _chunks(traj, grid):
@@ -149,15 +146,12 @@ def hamiltonian_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
     + sum int Re<grad(phi_j X), grad X> dbeta_j
     - lam sum int int Re phi_j |X|^{a+1} dbeta_j.
     """
-    _check_stride(traj, path)
+    n, use_noise, db = _prepare(traj, path, model)
     grid = model.grid
     alpha, lam = spec.alpha, spec.lam
     p = alpha + 1.0
-    n = len(traj.times)
     dt = path.dt
-    use_noise = traj.flags.noise and model.n_modes > 0
     lam_eff = lam if traj.flags.nonlinear else 0
-    db = _left_increments(path, n)
 
     lhs = np.empty(n)
     incr = {k: np.zeros(n) for k in
@@ -195,20 +189,15 @@ def lp_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
     + p(p-2)/2 sum int int (Re phi_j)^2 |X|^p ds
     + p sum int int Re phi_j |X|^p dbeta_j.
     """
-    _check_stride(traj, path)
+    n, use_noise, db = _prepare(traj, path, model)
     grid = model.grid
     p = spec.alpha + 1.0
-    n = len(traj.times)
     dt = path.dt
-    use_noise = traj.flags.noise and model.n_modes > 0
     use_grad = traj.flags.linear
-    db = _left_increments(path, n)
 
     lhs = np.empty(n)
-    incr = {"grad_drift": np.zeros(n)}
-    if use_noise:
-        incr["qv_phase"] = np.zeros(n)
-        incr["mart_phase"] = np.zeros(n)
+    incr = {k: np.zeros(n) for k, on in [("grad_drift", True), ("qv_phase", use_noise),
+                                         ("mart_phase", use_noise)] if on}
     for rows, v in _chunks(traj, grid):
         abs_p = guarded_abs_power(v, p)
         lhs[rows] = quadrature(grid, abs_p)
@@ -238,25 +227,16 @@ def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
     where g_m is the Fourier cutoff of g at scale m (default: grid Nyquist,
     i.e. the cutoff acts as the identity on every resolved mode).
     """
-    _check_stride(traj, path)
+    n, use_noise, db = _prepare(traj, path, model)
     grid = model.grid
     alpha, lam = spec.alpha, spec.lam
-    n = len(traj.times)
     dt = path.dt
-    use_noise = traj.flags.noise and model.n_modes > 0
     use_lam = traj.flags.nonlinear
     cutoff = nyquist_cutoff(grid) if m is None else m
-    db = _left_increments(path, n)
 
     lhs = np.empty(n)
-    incr = {}
-    if use_noise:
-        incr["mu_drift"] = np.zeros(n)
-        incr["qv_grad"] = np.zeros(n)
-    if use_lam:
-        incr["lam_drift"] = np.zeros(n)
-    if use_noise:
-        incr["mart_grad"] = np.zeros(n)
+    incr = {k: np.zeros(n) for k, on in [("mu_drift", use_noise), ("qv_grad", use_noise),
+                                         ("lam_drift", use_lam), ("mart_grad", use_noise)] if on}
     for rows, v in _chunks(traj, grid):
         lhs[rows] = grad_sq_norms(grid, v)
         gv = gradient_arrays(grid, v)

@@ -18,10 +18,11 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
-                       solve_block, solve_direct, solve_rescaled)
+from .dynamics import ProblemSpec, RegimeError, SolveOptions, rescaled_to_X, solve_block
+# not called here: the benchmark's tracer (bench/spans.py) patches these names
+from .dynamics import solve_direct, solve_rescaled  # noqa: F401
 from .identities import ALL_IDENTITIES
-from .noise import ladder_paths, sample_path
+from .noise import ladder_paths
 from .spectral import Field, Grid, h1_norm, quadrature
 
 BLOCK_POINTS = 8192
@@ -88,14 +89,6 @@ class EnsembleReport:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _solver_for(scheme: str):
-    if scheme == "direct":
-        return solve_direct
-    if scheme == "rescaled":
-        return solve_rescaled
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def ensemble_width(config: EnsembleConfig) -> int:
     if config.width is not None:
         return max(1, config.width)
@@ -118,9 +111,10 @@ def _worker_block(ids):
     return _WORKER_CTX["task"](ids)
 
 
-def _map_blocks(task, n_paths: int, block: int, width: int) -> list:
-    """task(ids) over consecutive blocks of path ids, in-process at width 1
-    or over a pool; the per-path results in path order."""
+def _map_blocks(task, config: EnsembleConfig, block: int) -> list:
+    """task(ids) over consecutive blocks of the config's path ids, in-process
+    at width 1 or over a pool; the per-path results in path order."""
+    n_paths, width = config.n_paths, ensemble_width(config)
     blocks = [range(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
     if width == 1 or len(blocks) == 1:
         parts = [task(ids) for ids in blocks]
@@ -144,8 +138,7 @@ def run_ensemble(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> Ensembl
     """Run n_paths independent paths; blowup paths are recorded, not fatal."""
     if config.n_paths < 1:
         raise ValueError("need at least one path")
-    results = _map_blocks(partial(_ensemble_block, x, spec, config), config.n_paths,
-                          block_size(spec.grid), ensemble_width(config))
+    results = _map_blocks(partial(_ensemble_block, x, spec, config), config, block_size(spec.grid))
     n_times = config.n_steps * 2 ** (config.levels - 1) + 1
     times = np.linspace(0.0, spec.T, n_times)
     per_path = {obs: np.vstack([r[0][obs] for r in results])
@@ -289,8 +282,8 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     RegimeError if no path finishes."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
-    results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time),
-                          config.n_paths, block_size(spec.grid), ensemble_width(config))
+    results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time), config,
+                          block_size(spec.grid))
     finished = [finals for finals in results if finals is not None]
     if not finished:
         raise RegimeError(f"convergence: none of {config.n_paths} paths finished every level")
@@ -316,6 +309,7 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
 @dataclass
 class IdentityLadder:
     terminal: dict            # identity -> (n_paths, levels) |terminal residual|
+    sup: dict                 # identity -> (n_paths, levels) sup_t |residual|
     finest: dict              # identity -> IdentityReport of path 0, finest level
     boundary_max: float       # largest boundary ratio over paths, levels and steps
 
@@ -323,6 +317,7 @@ class IdentityLadder:
 def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
     options = replace(config.options, record_snapshots=True, stride=1)
     terminal = np.zeros((len(ids), len(ALL_IDENTITIES), config.levels))
+    sup = np.zeros_like(terminal)
     boundary = np.zeros((len(ids), config.levels))
     finest = [None] * len(ids)
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
@@ -336,19 +331,20 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
             reports = {name: fn(traj, path, spec.model, spec)
                        for name, fn in ALL_IDENTITIES.items()}
             terminal[b, :, level] = [abs(r.terminal_residual) for r in reports.values()]
+            sup[b, :, level] = [np.max(np.abs(r.residual)) for r in reports.values()]
             if ids[b] == 0 and level == config.levels - 1:
                 finest[b] = reports
-    return list(zip(terminal, boundary, finest))
+    return list(zip(terminal, sup, boundary, finest))
 
 
 def identity_ladder(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> IdentityLadder:
     """Every Ito identity on each of n_paths paths at each of `levels` coupled
     dt levels, solved in path blocks with snapshots at every step."""
-    results = _map_blocks(partial(_identity_block, x, spec, config), config.n_paths,
-                          block_size(spec.grid), ensemble_width(config))
-    terminal = np.stack([r[0] for r in results])
+    results = _map_blocks(partial(_identity_block, x, spec, config), config, block_size(spec.grid))
+    terminal, sup = (np.stack([r[i] for r in results]) for i in (0, 1))
     return IdentityLadder({name: terminal[:, k] for k, name in enumerate(ALL_IDENTITIES)},
-                          results[0][2], float(np.max([r[1] for r in results])))
+                          {name: sup[:, k] for k, name in enumerate(ALL_IDENTITIES)},
+                          results[0][3], float(np.max([r[2] for r in results])))
 
 
 # ---------------------------------------------------------------------------
@@ -362,28 +358,37 @@ class ContinuityReport:
     bounded: bool
 
 
+def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: EnsembleConfig,
+                      direction: Field, ids) -> list:
+    """Per path, its ratio at each delta.  The base run and the perturbed runs
+    of every path in `ids` are rows of solves of at most block_size rows."""
+    starts = np.stack([x.values] + [x.values + d * direction.values for d in deltas])
+    (paths,) = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, 1)
+    paths = [path for path in paths for _ in starts]
+    stack = np.concatenate([starts] * len(ids))
+    options = replace(config.options, record_snapshots=True, stride=1)
+    size = block_size(spec.grid)
+    trajs = [traj for a in range(0, len(paths), size)
+             for traj in solve_block(stack[a:a + size], paths[a:a + size], spec, options,
+                                     config.scheme)]
+    for a, traj in enumerate(trajs):
+        if traj.status.kind != "finished":
+            run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"
+            raise RegimeError(f"continuity probe: {run} run ended with {traj.status.kind}")
+    v_h1 = h1_norm(direction)
+    return [[max(h1_norm(p - q) for p, q in zip(traj.snapshots, trajs[a].snapshots))
+             / (d * v_h1) for d, traj in zip(deltas, trajs[a + 1:a + len(starts)])]
+            for a in range(0, len(trajs), len(starts))]
+
+
 def continuity_probe(x: Field, deltas, spec: ProblemSpec, config: EnsembleConfig,
                      direction: Field, spread_cap: float = 10.0) -> ContinuityReport:
-    """Per path and per delta: sup_t |X(x + delta v) - X(x)|_{H1} / (delta |v|_{H1})."""
+    """Per path and per delta: sup_t |X(x + delta v) - X(x)|_{H1} / (delta |v|_{H1}),
+    with each path's base and perturbed runs solved in one path block."""
     deltas = [float(d) for d in deltas]
     if any(d <= 0 for d in deltas):
         raise ValueError("deltas must be positive")
-    v_h1 = h1_norm(direction)
-    solver = _solver_for(config.scheme)
-    options = replace(config.options, record_snapshots=True, stride=1)
-    ratios = np.zeros((config.n_paths, len(deltas)))
-    for pid in range(config.n_paths):
-        path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
-        base = solver(x, path, spec, options)
-        if base.status.kind != "finished":
-            raise RegimeError(f"continuity probe: base run ended with {base.status.kind}")
-        for di, d in enumerate(deltas):
-            pert = Field(x.grid, x.values + d * direction.values)
-            traj = solver(pert, path, spec, options)
-            if traj.status.kind != "finished":
-                raise RegimeError(
-                    f"continuity probe: delta={d} run ended with {traj.status.kind}")
-            sup = max(h1_norm(a - b) for a, b in zip(traj.snapshots, base.snapshots))
-            ratios[pid, di] = sup / (d * v_h1)
+    ratios = np.array(_map_blocks(partial(_continuity_block, x, deltas, spec, config, direction),
+                                  config, max(1, block_size(spec.grid) // (1 + len(deltas)))))
     spread = float(np.max(np.max(ratios, axis=1) / np.min(ratios, axis=1)))
     return ContinuityReport(deltas, ratios, spread, spread <= spread_cap)

@@ -222,6 +222,19 @@ class TestEnsemble:
         assert widths == [2]
         assert "SNLS_THREADS" not in os.environ
 
+    @pytest.mark.parametrize("width,trusted", [("1.0", "true"), ("3.0", "false")])
+    def test_boundary_trust_rule(self, tmp_path, width, trusted):
+        # a width-3 gaussian on a 16-wide box is about 3e-2 of its peak at the faces
+        cfg = write_cfg(tmp_path, NOISY_CFG.replace("initial = gaussian",
+                                                    f"initial = gaussian\nwidth = {width}"),
+                        m=4, levels=1, paths=1)
+        assert main(["ensemble", "--config", cfg]) == 0
+        summary = read_summary(tmp_path)
+        assert (float(summary["boundary_max"]) < 1e-8) == (trusted == "true")
+        assert summary["boundary_trusted"] == trusted
+        header = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[0]
+        assert header.endswith(",lp_ci3,boundary_mean,boundary_var,boundary_ci3")
+
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
     def test_invalid_snls_threads_is_an_error(self, tmp_path, monkeypatch, capsys, value):
         monkeypatch.setenv("SNLS_THREADS", value)
@@ -307,6 +320,24 @@ class TestVerifyIdentities:
         med = [float(summary[f"identity_mass_median_level_{lv}"]) for lv in range(3)]
         assert med[0] > med[1] > med[2]
         assert med[0] < 0.1
+
+    def test_verdict_is_the_mean_of_sup_rule(self, tmp_path):
+        # seed 6: the median terminal residual of the Hamiltonian and L^p
+        # identities rises from level 0 to 1 on this correct run, while the
+        # mean over paths of sup_t |residual| falls at every level
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=3, paths=32)
+        assert main(["verify-identities", "--config", cfg, "--seed", "6"]) == 0
+        summary = read_summary(tmp_path)
+        median_falls = []
+        for name in ("mass", "hamiltonian", "lp", "h1"):
+            sup = [float(summary[f"identity_{name}_mean_sup_level_{lv}"]) for lv in range(3)]
+            med = [float(summary[f"identity_{name}_median_level_{lv}"]) for lv in range(3)]
+            assert sup[0] > sup[1] > sup[2]
+            assert summary[f"identity_{name}_monotone"] == "true"
+            median_falls.append(med[0] > med[1] > med[2])
+        assert not all(median_falls)
+        assert summary["identities_pass"] == "true"
+        assert summary["boundary_trusted"] == "true"
 
     @pytest.mark.parametrize("good,bad", [("m = 1\n", "m = 1.5\n"),
                                           ("mu_re = 1.0", "mu_re = x"),

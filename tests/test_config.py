@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snls.config import (ConfigError, InitialSpec, ModeConfig, RunConfig,
+from snls.config import (_NOISE_KEYS, _PROBLEM_KEYS, _RUN_KEYS, _VERIFY_KEYS,
+                         ConfigError, InitialSpec, ModeConfig, RunConfig,
                          RunSection, SnapshotError, VerifySection,
                          build_initial, build_noise_model, build_problem,
                          build_grid, parse_config, read_snapshot,
@@ -94,6 +95,13 @@ profile = constant
         with pytest.raises(ConfigError, match="dt"):
             parse_config(MINIMAL.replace("dt = 1e-3", "dt = 2.0"))
 
+    @pytest.mark.parametrize("extra", ["amplitude = nan\n", "center = 0 -inf 0\n",
+                                       "\n[run]\nh1_blowup_factor = 1e400\n"],
+                             ids=["amplitude", "center", "h1_blowup_factor"])
+    def test_non_finite_value_rejected(self, extra):
+        with pytest.raises(ConfigError, match="not a finite number"):
+            parse_config(MINIMAL + extra)
+
     def test_negative_threads_rejected(self):
         with pytest.raises(ConfigError, match="threads"):
             parse_config(MINIMAL + "\n[run]\nthreads = -1\n")
@@ -153,6 +161,62 @@ class TestRoundTrip:
     @given(config_strategy())
     @settings(max_examples=100, deadline=None)
     def test_serialize_parse_roundtrip(self, cfg):
+        assert parse_config(serialize_config(cfg)) == cfg
+
+
+KNOWN_KEYS = {"problem": sorted(_PROBLEM_KEYS), "noise.1": sorted(_NOISE_KEYS),
+              "noise.2": sorted(_NOISE_KEYS), "run": sorted(_RUN_KEYS),
+              "verify": sorted(_VERIFY_KEYS)}
+VALUE_TEXT = st.one_of(
+    st.sampled_from(["0", "1", "-1", "2", "3", "64", "60", "0.5", "1e-3", "16.0", "-0.0",
+                     "nan", "inf", "-inf", "1e400", "", "direct", "both", "soliton",
+                     "plane-wave", "file", "constant", "cosine", "no-noise omit-mu-tilde",
+                     "1 0 0", "2 0", "0.5 nan 1"]),
+    st.integers(min_value=-3, max_value=2 ** 70).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="abcdefxyz0123456789 .-+e_/", max_size=10))
+
+
+GOOD_VALUE = {"d": "1", "n": "16", "l": "16.0", "alpha": "3.0", "lambda": "-1", "t": "0.5",
+              "dt": "1e-3", "scheme": "both", "initial": "plane-wave", "amplitude": "0.5",
+              "width": "2.0", "center": "1 0", "kmode": "2 0 0", "path": "x.bin",
+              "mu_re": "1.0", "mu_im": "0.5", "profile": "cosine", "height": "0.5",
+              "m": "4", "seed": "7", "stride": "2", "out": "res", "h1_blowup_factor": "10",
+              "spacetime_blowup_factor": "10", "flags": "no-noise", "threads": "2",
+              "levels": "2", "paths": "4"}
+REQUIRED = {"problem": ("d", "n", "l", "alpha", "lambda", "t", "dt"),
+            "noise.1": ("mu_re", "mu_im", "profile"), "noise.2": ("mu_re", "mu_im", "profile"),
+            "run": (), "verify": ()}
+
+
+@st.composite
+def config_texts(draw):
+    """Key/value text over the known sections: the required keys with good
+    values, then random keys set to good or random values, at times a key
+    dropped, sections in random order."""
+    names = (["problem"] + draw(st.sampled_from([[], ["noise.1"], ["noise.1", "noise.2"]]))
+             + draw(st.lists(st.sampled_from(["run", "verify"]), unique=True)))
+    sections = {name: {key: GOOD_VALUE[key] for key in REQUIRED[name]} for name in names}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        name = draw(st.sampled_from(names))
+        key = draw(st.sampled_from(KNOWN_KEYS[name]))
+        sections[name][key] = draw(st.one_of(st.just(GOOD_VALUE[key]), VALUE_TEXT))
+    name = draw(st.sampled_from(names))
+    if sections[name] and draw(st.integers(min_value=0, max_value=7)) == 0:
+        sections[name].pop(draw(st.sampled_from(sorted(sections[name]))))
+    order = draw(st.permutations(names))
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sections[name].items())
+                   for name in order)
+
+
+class TestFailClosed:
+    @given(config_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_text_parses_and_round_trips_or_is_a_config_error(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
         assert parse_config(serialize_config(cfg)) == cfg
 
 

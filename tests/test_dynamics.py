@@ -16,7 +16,7 @@ from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, GaussianProfile, NoiseMode,
                         build_model, eval_W, refine_path, sample_path)
-from snls.spectral import Field, Grid, lp_norm
+from snls.spectral import Field, Grid, lp_norm, quadrature
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -388,7 +388,47 @@ class TestPropagator:
         assert np.max(np.abs(out.values - expected)) <= 1e-12
 
 
+def picard_rows_reference(x, path, spec, K, tol=1e-10, max_iter=50):
+    """The fixed-window Picard loop with one array per grid time, as lists."""
+    grid, dt = spec.grid, path.dt
+
+    def step(w, i):
+        return propagator_apply(Field(grid, w), i, i + 1, path, spec.model).values
+
+    u = [x.values]
+    for i in range(K):
+        u.append(step(u[i], i))
+    envs = [np.exp((spec.alpha - 1.0) * eval_W(spec.model, path, i).values.real)
+            if spec.model.n_modes else 1.0 for i in range(K + 1)]
+    y, distances = list(u), []
+    for _ in range(max_iter):
+        f = [envs[i] * guarded_abs_power(y[i], spec.alpha - 1.0) * y[i] for i in range(K + 1)]
+        new, v = [u[0]], np.zeros_like(u[0])
+        for i in range(K):
+            v = step(v + (0.5 * dt) * f[i], i) + (0.5 * dt) * f[i + 1]
+            new.append(u[i + 1] - 1j * spec.lam * v)
+        diff = np.stack(new) - np.stack(y)
+        distances.append(float(np.sqrt(quadrature(grid, diff.real ** 2 + diff.imag ** 2)).max()))
+        y = new
+        if distances[-1] < tol:
+            break
+    return y[K], distances
+
+
 class TestPicard:
+    @pytest.mark.parametrize("mus", [(), (0.6 + 0.5j, 0.3j)], ids=["deterministic", "two-modes"])
+    def test_matches_row_list_reference(self, mus):
+        grid = Grid(1, 256, 32.0)
+        model = build_model([NoiseMode(mu, GaussianProfile(1.0, 2.0 + j, (j, 0, 0)))
+                             for j, mu in enumerate(mus)], grid)
+        spec = ProblemSpec(grid, model, 3.0, 1, 0.1)
+        path = sample_path(model, 0.1, 200, seed=4)
+        x = gaussian(grid, amp=0.5)
+        y, diag = picard_solve(x, path, spec, window_policy="fixed", tau=0.05)
+        want_y, want_distances = picard_rows_reference(x, path, spec, K=100)
+        assert y.values.tobytes() == want_y.tobytes()
+        assert diag.distances == want_distances
+
     def test_zero_data_one_iteration(self):
         spec = det_spec(T=0.1)
         path = sample_path(spec.model, 0.1, 100, seed=0)

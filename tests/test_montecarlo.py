@@ -14,7 +14,7 @@ from snls.montecarlo import (EnsembleConfig, block_size, continuity_probe,
                              run_ensemble)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
                         sample_path)
-from snls.spectral import Field, Grid, quadrature
+from snls.spectral import Field, Grid, h1_norm, quadrature
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -337,7 +337,36 @@ class TestIdentityLadder:
             assert ladder.boundary_max == boundary
 
 
+def hand_continuity_ratios(x, deltas, spec, config, direction):
+    """The serial reference: each path's base run, then each perturbed run."""
+    solver = solve_direct if config.scheme == "direct" else solve_rescaled
+    ratios = np.zeros((config.n_paths, len(deltas)))
+    for pid in range(config.n_paths):
+        path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
+        base = solver(x, path, spec, SolveOptions(stride=1))
+        for k, d in enumerate(deltas):
+            pert = Field(x.grid, x.values + d * direction.values)
+            traj = solver(pert, path, spec, SolveOptions(stride=1))
+            sup = max(h1_norm(a - b) for a, b in zip(traj.snapshots, base.snapshots))
+            ratios[pid, k] = sup / (d * h1_norm(direction))
+    return ratios
+
+
 class TestContinuityProbe:
+    @pytest.mark.parametrize("scheme,mu", [("direct", 1.0 + 0j), ("direct", 0.6 + 0.5j),
+                                           ("rescaled", 1.0 + 0j), ("rescaled", 0.6 + 0.5j)])
+    def test_matches_hand_loop_at_widths_1_and_2(self, scheme, mu):
+        # 4 runs per path in blocks of 32 rows: 10 paths make blocks of 8 + 2
+        grid = Grid(1, 256, 32.0)
+        spec = spec_with_mode(mu, T=0.02, grid=grid)
+        x, v = gaussian(grid=grid), gaussian(grid=grid, width=2.0)
+        deltas = [1e-2, 1e-3, 1e-4]
+        config = EnsembleConfig(n_paths=10, seed=3, n_steps=20, width=1, scheme=scheme)
+        want = hand_continuity_ratios(x, deltas, spec, config, v)
+        for width in (1, 2):
+            got = continuity_probe(x, deltas, spec, replace(config, width=width), v)
+            assert got.ratios.tobytes() == want.tobytes()
+
     def test_deterministic_soliton_bounded(self):
         grid = Grid(1, 256, 32.0)
         xi = grid.meshes[0]
