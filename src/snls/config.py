@@ -1,8 +1,8 @@
 """Run configuration (INI-style key = value sections) and field snapshots.
 
-The config text round-trips: parse(serialize(cfg)) == cfg.  Regime
-classification runs eagerly at parse time so out-of-range exponent choices
-fail before any compute starts.
+The format is one table of rows per section, read by parse_config and
+serialize_config alike: parse(serialize(cfg)) == cfg.  Out-of-range exponent
+choices fail at parse time (regimes are classified eagerly), before any compute.
 
 Snapshot files are little-endian binary: magic "SNLS", version u16, d u16,
 n u32, L f64, t f64, then n^d complex values as (re, im) float64 pairs in
@@ -12,7 +12,6 @@ row-major order (payload is exactly 16 * n^d bytes).
 from __future__ import annotations
 
 import configparser
-import io
 import math
 import struct
 from dataclasses import dataclass
@@ -30,27 +29,29 @@ class ConfigError(ValueError):
     pass
 
 
-_PROBLEM_KEYS = {"d", "n", "l", "alpha", "lambda", "t", "dt", "scheme",
-                 "initial", "amplitude", "width", "center", "kmode", "path"}
-_NOISE_KEYS = {"mu_re", "mu_im", "profile", "height", "width", "center", "kmode"}
-_RUN_KEYS = {"m", "seed", "stride", "out", "h1_blowup_factor",
-             "spacetime_blowup_factor", "flags", "threads"}
-_VERIFY_KEYS = {"levels", "paths"}
-
 _SCHEMES = ("direct", "rescaled", "both")
 _INITIAL_KINDS = ("gaussian", "soliton", "plane-wave", "file")
-_PROFILES = ("gaussian", "constant", "cosine")
-_FLAG_TOKENS = ("no-linear", "no-nonlinear", "no-noise", "omit-mu-tilde")
+# [noise.k] profile -> its noise profile, built from the section's ModeConfig
+_PROFILES = {"gaussian": lambda m: GaussianProfile(m.height, m.width, m.center),
+             "constant": lambda m: ConstantProfile(m.height),
+             "cosine": lambda m: CosineProfile(m.height, m.kmode)}
+# flag token -> the StepFlags field it sets: a "no-" token turns its substep off
+_FLAG_TOKENS = {"no-linear": "linear", "no-nonlinear": "nonlinear", "no-noise": "noise",
+                "omit-mu-tilde": "omit_mu_tilde"}
 
 
 @dataclass(frozen=True)
 class InitialSpec:
     kind: str
-    amplitude: float = 1.0
+    amplitude: float | None = None    # None: sqrt(2) for the soliton, 1 otherwise
     width: float = 1.0
     center: tuple = (0.0, 0.0, 0.0)
     kmode: tuple = (1, 0, 0)
     path: str = ""
+
+    def __post_init__(self):
+        if self.amplitude is None:      # sqrt(2) sech(x) solves the focusing cubic NLS
+            object.__setattr__(self, "amplitude", math.sqrt(2.0) if self.kind == "soliton" else 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,18 @@ class RunConfig:
 
     @property
     def n_steps(self) -> int:
-        steps = round(self.T / self.dt)
-        return max(1, int(steps))
+        return max(1, int(round(self.T / self.dt)))
 
     @property
     def regime(self) -> Regime:
         return classify(self.d, self.alpha, self.lam)
 
+
+# ---------------------------------------------------------------------------
+# the format: one table of (key, attribute, kind, default) rows per section.
+# A kind is a (convert text, format value) pair; a ValueError from convert is
+# a bad value.  The default is _REQUIRED, None (the dataclass default) or the
+# value itself, given only where the dataclass field has no default.
 
 def _finite(text: str) -> float:
     value = float(text)
@@ -114,69 +120,108 @@ def _finite(text: str) -> float:
     return value
 
 
-def _floats(text: str) -> tuple:
-    return tuple(_finite(tok) for tok in text.split())
-
-def _ints(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split())
-
-
-def _pad3(vals, fill=0.0) -> tuple:
-    out = list(vals)[:3]
-    while len(out) < 3:
-        out.append(fill)
-    return tuple(out)
-
-
-def _flags_from_tokens(tokens) -> StepFlags:
+def _flags(text: str) -> StepFlags:
+    tokens = text.split()
     for tok in tokens:
         if tok not in _FLAG_TOKENS:
-            raise ConfigError(f"unknown flag token {tok!r} (allowed: {_FLAG_TOKENS})")
-    return StepFlags(
-        linear="no-linear" not in tokens,
-        nonlinear="no-nonlinear" not in tokens,
-        noise="no-noise" not in tokens,
-        omit_mu_tilde="omit-mu-tilde" in tokens,
-    )
+            raise ValueError(f"unknown flag token {tok!r} (allowed: {tuple(_FLAG_TOKENS)})")
+    return StepFlags(**{attr: (tok in tokens) != tok.startswith("no-")
+                        for tok, attr in _FLAG_TOKENS.items()})
 
 
-def _flags_to_tokens(flags: StepFlags) -> str:
-    toks = []
-    if not flags.linear:
-        toks.append("no-linear")
-    if not flags.nonlinear:
-        toks.append("no-nonlinear")
-    if not flags.noise:
-        toks.append("no-noise")
-    if flags.omit_mu_tilde:
-        toks.append("omit-mu-tilde")
-    return " ".join(toks)
+def _triple(convert, fmt, fill):
+    """Up to three space-separated values, padded with `fill` to three."""
+    return (lambda text: (tuple(convert(tok) for tok in text.split()) + (fill,) * 3)[:3],
+            lambda vals: " ".join(fmt(v) for v in vals))
 
 
-def _section(parser, name):
-    return parser[name] if parser.has_section(name) else {}
+def _checked(kind, ok, rule: str):
+    """`kind`, but a value with not ok(value) is a bad value: it must be `rule`."""
+    convert, fmt = kind
+
+    def check(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+    return check, fmt
 
 
-def _reject_unknown(section_name: str, section, allowed: set):
+def _one_of(choices: tuple):
+    return _checked(_STR, choices.__contains__, f"one of {choices}")
+
+
+_INT = (int, str)
+_FLOAT = (_finite, repr)
+_STR = (str, str)
+_AT_LEAST_1 = _checked(_INT, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(_FLOAT, lambda v: v > 0, "positive")
+_FLOATS3 = _triple(_finite, repr, 0.0)
+_INTS3 = _triple(int, str, 0)
+_FLAGS = (_flags, lambda flags: " ".join(tok for tok, attr in _FLAG_TOKENS.items()
+                                         if getattr(flags, attr) != tok.startswith("no-")))
+_REQUIRED = object()
+
+_SHAPE = (("width", "width", _FLOAT, None),
+          ("center", "center", _FLOATS3, None),
+          ("kmode", "kmode", _INTS3, None))
+_PROBLEM = (("d", "d", _checked(_INT, (1, 2, 3).__contains__, "1, 2 or 3"), _REQUIRED),
+            ("n", "n", _INT, _REQUIRED),
+            ("l", "length", _FLOAT, _REQUIRED),
+            ("alpha", "alpha", _FLOAT, _REQUIRED),
+            ("lambda", "lam", _checked(_INT, (1, -1).__contains__, "+1 or -1"), _REQUIRED),
+            ("t", "T", _POSITIVE, _REQUIRED),
+            ("dt", "dt", _POSITIVE, _REQUIRED),
+            ("scheme", "scheme", _one_of(_SCHEMES), "direct"))
+_INITIAL = ((("initial", "kind", _one_of(_INITIAL_KINDS), "gaussian"),
+             ("amplitude", "amplitude", _FLOAT, None))
+            + _SHAPE + (("path", "path", _STR, None),))
+_NOISE = ((("mu_re", "mu_re", _FLOAT, _REQUIRED),
+           ("mu_im", "mu_im", _FLOAT, _REQUIRED),
+           ("profile", "profile", _one_of(tuple(_PROFILES)), _REQUIRED),
+           ("height", "height", _FLOAT, None))
+          + _SHAPE)
+_RUN = (("m", "n_paths", _AT_LEAST_1, None),
+        ("seed", "seed", _INT, None),
+        ("stride", "stride", _AT_LEAST_1, None),
+        ("out", "out", _STR, None),
+        ("h1_blowup_factor", "h1_blowup_factor", _FLOAT, None),
+        ("spacetime_blowup_factor", "spacetime_blowup_factor", _FLOAT, None),
+        ("flags", "flags", _FLAGS, None),
+        ("threads", "threads", _checked(_INT, lambda v: v >= 0, ">= 0 (0 = automatic)"), None))
+_VERIFY = (("levels", "levels", _AT_LEAST_1, None),
+           ("paths", "paths", _AT_LEAST_1, None))
+# [problem] sets RunConfig's fields (_PROBLEM) and InitialSpec's (_INITIAL)
+_SCHEMA = {"problem": _PROBLEM + _INITIAL, "noise.k": _NOISE, "run": _RUN, "verify": _VERIFY}
+_PROBLEM_KEYS, _NOISE_KEYS, _RUN_KEYS, _VERIFY_KEYS = (
+    {row[0] for row in rows} for rows in _SCHEMA.values())
+
+
+def _read(name: str, section, rows) -> dict:
+    """{attribute: value} of each row whose key `section` sets or whose row
+    gives a default; other rows keep their dataclass default.  An unknown or
+    missing required key, or a value its kind rejects, is a ConfigError
+    naming the key and the section."""
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in [{section_name}]")
+        if not any(key == row[0] for row in rows):
+            raise ConfigError(f"unknown key {key!r} in [{name}]")
+    values = {}
+    for key, attr, (convert, _), default in rows:
+        if key in section:
+            text = section[key]
+            try:
+                values[attr] = convert(text)
+            except ValueError as exc:
+                raise ConfigError(f"bad value {text!r} for {key!r} in [{name}]: {exc}") from exc
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in [{name}]")
+        elif default is not None:
+            values[attr] = default
+    return values
 
 
-def _require(section_name: str, section, key: str) -> str:
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in [{section_name}]")
-    return section[key]
-
-
-def _value(section_name: str, section, key: str, convert, default: str | None = None):
-    """convert(section[key]), falling back to `default` (required when None);
-    a value convert rejects is a ConfigError naming the key."""
-    text = _require(section_name, section, key) if default is None else section.get(key, default)
-    try:
-        return convert(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad value {text!r} for {key!r} in [{section_name}]: {exc}") from exc
+def _write(obj, rows) -> str:
+    return "".join(f"{key} = {fmt(getattr(obj, attr))}\n" for key, attr, (_, fmt), _ in rows)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -187,142 +232,37 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     if not parser.has_section("problem"):
         raise ConfigError("missing required section [problem]")
-
-    prob = parser["problem"]
-    _reject_unknown("problem", prob, _PROBLEM_KEYS)
-    d = _value("problem", prob, "d", int)
-    n = _value("problem", prob, "n", int)
-    length = _value("problem", prob, "l", _finite)
-    alpha = _value("problem", prob, "alpha", _finite)
-    lam = _value("problem", prob, "lambda", int)
-    T = _value("problem", prob, "t", _finite)
-    dt = _value("problem", prob, "dt", _finite)
-    scheme = prob.get("scheme", "direct")
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {scheme!r}")
-    kind = prob.get("initial", "gaussian")
-    if kind not in _INITIAL_KINDS:
-        raise ConfigError(f"initial must be one of {_INITIAL_KINDS}, got {kind!r}")
-    default_amp = math.sqrt(2.0) if kind == "soliton" else 1.0
-    initial = InitialSpec(
-        kind=kind,
-        amplitude=_value("problem", prob, "amplitude", _finite, repr(default_amp)),
-        width=_value("problem", prob, "width", _finite, "1.0"),
-        center=_pad3(_value("problem", prob, "center", _floats, "0 0 0")),
-        kmode=_pad3(_value("problem", prob, "kmode", _ints, "1 0 0"), fill=0),
-        path=prob.get("path", ""),
-    )
-    if kind == "file" and not initial.path:
-        raise ConfigError("initial = file needs a 'path' key in [problem]")
-
-    modes = []
-    idx = 1
-    for name in parser.sections():
-        if not name.startswith("noise."):
-            continue
+    optional = {n: parser[n] if parser.has_section(n) else {} for n in ("run", "verify")}
+    problem = _read("problem", parser["problem"], _SCHEMA["problem"])
+    initial = InitialSpec(**{attr: problem.pop(attr) for _, attr, _, _ in _INITIAL
+                             if attr in problem})
+    noise = [name for name in parser.sections() if name.startswith("noise.")]
+    for idx, name in enumerate(noise, start=1):
         if name != f"noise.{idx}":
             raise ConfigError(f"noise sections must be consecutive; expected [noise.{idx}], found [{name}]")
-        sec = parser[name]
-        _reject_unknown(name, sec, _NOISE_KEYS)
-        profile = _require(name, sec, "profile")
-        if profile not in _PROFILES:
-            raise ConfigError(f"profile must be one of {_PROFILES}, got {profile!r} in [{name}]")
-        modes.append(ModeConfig(
-            mu_re=_value(name, sec, "mu_re", _finite),
-            mu_im=_value(name, sec, "mu_im", _finite),
-            profile=profile,
-            height=_value(name, sec, "height", _finite, "1.0"),
-            width=_value(name, sec, "width", _finite, "1.0"),
-            center=_pad3(_value(name, sec, "center", _floats, "0 0 0")),
-            kmode=_pad3(_value(name, sec, "kmode", _ints, "1 0 0"), fill=0),
-        ))
-        idx += 1
-
-    runsec = _section(parser, "run")
-    _reject_unknown("run", runsec, _RUN_KEYS)
-    run = RunSection(
-        n_paths=_value("run", runsec, "m", int, "1"),
-        seed=_value("run", runsec, "seed", int, "0"),
-        stride=_value("run", runsec, "stride", int, "1"),
-        out=runsec.get("out", "out"),
-        h1_blowup_factor=_value("run", runsec, "h1_blowup_factor", _finite, "1e6"),
-        spacetime_blowup_factor=_value("run", runsec, "spacetime_blowup_factor", _finite, "1e6"),
-        flags=_flags_from_tokens(runsec.get("flags", "").split()),
-        threads=_value("run", runsec, "threads", int, "0"),
-    )
-
-    versec = _section(parser, "verify")
-    _reject_unknown("verify", versec, _VERIFY_KEYS)
-    verify = VerifySection(
-        levels=_value("verify", versec, "levels", int, "3"),
-        paths=_value("verify", versec, "paths", int, "32"),
-    )
-
-    cfg = RunConfig(d, n, length, alpha, lam, T, dt, scheme, initial,
-                    tuple(modes), run, verify)
+    cfg = RunConfig(**problem, initial=initial,
+                    modes=tuple(ModeConfig(**_read(name, parser[name], _NOISE)) for name in noise),
+                    run=RunSection(**_read("run", optional["run"], _RUN)),
+                    verify=VerifySection(**_read("verify", optional["verify"], _VERIFY)))
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: RunConfig):
-    if cfg.d not in (1, 2, 3):
-        raise ConfigError(f"d must be 1, 2 or 3, got {cfg.d}")
-    if cfg.lam not in (1, -1):
-        raise ConfigError(f"lambda must be +1 or -1, got {cfg.lam}")
-    if not (0 < cfg.T < math.inf and cfg.dt > 0):
-        raise ConfigError("T and dt must be positive and finite")
+    """The rules that span keys; each key's own rule is its row's kind."""
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
-    if cfg.run.stride < 1 or cfg.run.n_paths < 1:
-        raise ConfigError("stride and M must be >= 1")
-    if cfg.run.threads < 0:
-        raise ConfigError(f"threads must be >= 0 (0 = automatic), got {cfg.run.threads}")
-    regime = classify(cfg.d, cfg.alpha, cfg.lam)
-    if regime.tag == "out-of-range":
-        raise ConfigError(
-            f"out-of-range regime: d={cfg.d}, alpha={cfg.alpha}, lambda={cfg.lam}")
+    if cfg.initial.kind == "file" and not cfg.initial.path:
+        raise ConfigError("initial = file needs a 'path' key in [problem]")
+    if cfg.regime.tag == "out-of-range":
+        raise ConfigError(f"out-of-range regime: d={cfg.d}, alpha={cfg.alpha}, lambda={cfg.lam}")
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    buf = io.StringIO()
-    w = buf.write
-    w("[problem]\n")
-    w(f"d = {cfg.d}\n")
-    w(f"n = {cfg.n}\n")
-    w(f"l = {cfg.length!r}\n")
-    w(f"alpha = {cfg.alpha!r}\n")
-    w(f"lambda = {cfg.lam}\n")
-    w(f"t = {cfg.T!r}\n")
-    w(f"dt = {cfg.dt!r}\n")
-    w(f"scheme = {cfg.scheme}\n")
-    w(f"initial = {cfg.initial.kind}\n")
-    w(f"amplitude = {cfg.initial.amplitude!r}\n")
-    w(f"width = {cfg.initial.width!r}\n")
-    w(f"center = {' '.join(repr(c) for c in cfg.initial.center)}\n")
-    w(f"kmode = {' '.join(str(k) for k in cfg.initial.kmode)}\n")
-    w(f"path = {cfg.initial.path}\n")
+    text = "[problem]\n" + _write(cfg, _PROBLEM) + _write(cfg.initial, _INITIAL)
     for i, mode in enumerate(cfg.modes, start=1):
-        w(f"\n[noise.{i}]\n")
-        w(f"mu_re = {mode.mu_re!r}\n")
-        w(f"mu_im = {mode.mu_im!r}\n")
-        w(f"profile = {mode.profile}\n")
-        w(f"height = {mode.height!r}\n")
-        w(f"width = {mode.width!r}\n")
-        w(f"center = {' '.join(repr(c) for c in mode.center)}\n")
-        w(f"kmode = {' '.join(str(k) for k in mode.kmode)}\n")
-    w("\n[run]\n")
-    w(f"m = {cfg.run.n_paths}\n")
-    w(f"seed = {cfg.run.seed}\n")
-    w(f"stride = {cfg.run.stride}\n")
-    w(f"out = {cfg.run.out}\n")
-    w(f"h1_blowup_factor = {cfg.run.h1_blowup_factor!r}\n")
-    w(f"spacetime_blowup_factor = {cfg.run.spacetime_blowup_factor!r}\n")
-    w(f"flags = {_flags_to_tokens(cfg.run.flags)}\n")
-    w(f"threads = {cfg.run.threads}\n")
-    w("\n[verify]\n")
-    w(f"levels = {cfg.verify.levels}\n")
-    w(f"paths = {cfg.verify.paths}\n")
-    return buf.getvalue()
+        text += f"\n[noise.{i}]\n" + _write(mode, _NOISE)
+    return text + "\n[run]\n" + _write(cfg.run, _RUN) + "\n[verify]\n" + _write(cfg.verify, _VERIFY)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +272,8 @@ def build_grid(cfg: RunConfig) -> Grid:
     return Grid(cfg.d, cfg.n, cfg.length)
 
 
-def _profile_for(mode: ModeConfig):
-    if mode.profile == "gaussian":
-        return GaussianProfile(mode.height, mode.width, mode.center)
-    if mode.profile == "constant":
-        return ConstantProfile(mode.height)
-    return CosineProfile(mode.height, mode.kmode)
-
-
 def build_noise_model(cfg: RunConfig, grid: Grid) -> NoiseModel:
-    modes = [NoiseMode(complex(m.mu_re, m.mu_im), _profile_for(m)) for m in cfg.modes]
+    modes = [NoiseMode(complex(m.mu_re, m.mu_im), _PROFILES[m.profile](m)) for m in cfg.modes]
     return build_model(modes, grid)
 
 
@@ -357,10 +289,7 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
 def build_initial(cfg: RunConfig, grid: Grid) -> Field:
     ini = cfg.initial
     if ini.kind == "gaussian":
-        r2 = np.zeros(grid.shape)
-        for ax, mesh in enumerate(grid.meshes):
-            r2 = r2 + (mesh - ini.center[ax]) ** 2
-        return Field(grid, ini.amplitude * np.exp(-r2 / (2.0 * ini.width ** 2)))
+        return Field(grid, GaussianProfile(ini.amplitude, ini.width, ini.center).evaluate(grid))
     if ini.kind == "soliton":
         if grid.d != 1:
             raise ConfigError("the sech soliton datum is one-dimensional")
@@ -381,13 +310,10 @@ def build_initial(cfg: RunConfig, grid: Grid) -> Field:
 
 def solve_options(cfg: RunConfig, stride: int | None = None,
                   record_snapshots: bool = True) -> SolveOptions:
-    return SolveOptions(
-        stride=cfg.run.stride if stride is None else stride,
-        record_snapshots=record_snapshots,
-        flags=cfg.run.flags,
-        thresholds=BlowupThresholds(cfg.run.h1_blowup_factor,
-                                    cfg.run.spacetime_blowup_factor),
-    )
+    return SolveOptions(stride=cfg.run.stride if stride is None else stride,
+                        record_snapshots=record_snapshots, flags=cfg.run.flags,
+                        thresholds=BlowupThresholds(cfg.run.h1_blowup_factor,
+                                                    cfg.run.spacetime_blowup_factor))
 
 
 # ---------------------------------------------------------------------------

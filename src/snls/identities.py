@@ -63,7 +63,7 @@ def _prepare(traj: Trajectory, path: WienerPath, model: NoiseModel):
     n = len(traj.times)
     if traj.snapshot_indices != list(range(n)):
         raise StrideError("identity checks require per-step snapshots (stride 1)")
-    if n - 1 > path.n_steps or abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
+    if n - 1 > path.n_steps or n > 1 and abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
         raise StrideError("trajectory and path live on different time grids")
     # the last snapshot starts no increment
     db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])

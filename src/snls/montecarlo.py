@@ -23,7 +23,7 @@ from .dynamics import ProblemSpec, RegimeError, SolveOptions, rescaled_to_X, sol
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
 from .identities import ALL_IDENTITIES
 from .noise import ladder_paths
-from .spectral import Field, Grid, h1_norm, quadrature
+from .spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
 
 BLOCK_POINTS = 8192
 """Grid points per path block: 32 paths on a 256-point line share each step's
@@ -311,7 +311,13 @@ class IdentityLadder:
     terminal: dict            # identity -> (n_paths, levels) |terminal residual|
     sup: dict                 # identity -> (n_paths, levels) sup_t |residual|
     finest: dict              # identity -> IdentityReport of path 0, finest level
-    boundary_max: float       # largest boundary ratio over paths, levels and steps
+    boundary_max: float       # largest boundary ratio of X over paths, levels and steps
+    statuses: np.ndarray      # (n_paths, levels) TrajectoryStatus kind
+
+    @property
+    def unfinished_paths(self) -> int:
+        """Paths that stopped early (blowup or numeric failure) at some level."""
+        return int(np.sum(np.any(self.statuses != "finished", axis=1)))
 
 
 def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
@@ -319,32 +325,36 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
     terminal = np.zeros((len(ids), len(ALL_IDENTITIES), config.levels))
     sup = np.zeros_like(terminal)
     boundary = np.zeros((len(ids), config.levels))
+    statuses = np.empty((len(ids), config.levels), dtype=object)
     finest = [None] * len(ids)
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
     for level, paths in enumerate(ladder):
         trajs = solve_block(x, paths, spec, options, config.scheme)
         for b, path in enumerate(paths):
             traj, trajs[b] = trajs[b], None    # free each trajectory once checked
-            boundary[b, level] = np.max(traj.diagnostic("boundary"))
+            if traj.status.kind == "numeric-failure":   # its non-finite last state has no snapshot
+                traj = replace(traj, times=traj.times[:len(traj.snapshots)])
             if config.scheme == "rescaled":   # the identities hold for X = e^W y, not for y
                 traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
+            boundary[b, level] = max(boundary_ratio(snap) for snap in traj.snapshots)
+            statuses[b, level] = traj.status.kind
             reports = {name: fn(traj, path, spec.model, spec)
                        for name, fn in ALL_IDENTITIES.items()}
             terminal[b, :, level] = [abs(r.terminal_residual) for r in reports.values()]
             sup[b, :, level] = [np.max(np.abs(r.residual)) for r in reports.values()]
             if ids[b] == 0 and level == config.levels - 1:
                 finest[b] = reports
-    return list(zip(terminal, sup, boundary, finest))
+    return list(zip(terminal, sup, boundary, finest, statuses))
 
 
 def identity_ladder(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> IdentityLadder:
     """Every Ito identity on each of n_paths paths at each of `levels` coupled
     dt levels, solved in path blocks with snapshots at every step."""
     results = _map_blocks(partial(_identity_block, x, spec, config), config, block_size(spec.grid))
-    terminal, sup = (np.stack([r[i] for r in results]) for i in (0, 1))
+    terminal, sup, boundary, statuses = (np.stack([r[i] for r in results]) for i in (0, 1, 2, 4))
     return IdentityLadder({name: terminal[:, k] for k, name in enumerate(ALL_IDENTITIES)},
                           {name: sup[:, k] for k, name in enumerate(ALL_IDENTITIES)},
-                          results[0][3], float(np.max([r[2] for r in results])))
+                          results[0][3], float(np.max(boundary)), statuses)
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,35 @@ paths = 8
 """
 
 
+BLOWUP_IDENTITIES_CFG = """
+[problem]
+d = 1
+n = 64
+L = 16.0
+alpha = 3.0
+lambda = -1
+T = 0.05
+dt = 1e-3
+scheme = rescaled
+initial = gaussian
+amplitude = 200.0
+
+[noise.1]
+mu_re = 1.0
+mu_im = 0.0
+profile = gaussian
+height = 0.7
+width = 3.0
+
+[run]
+out = {out}
+{caps}
+[verify]
+levels = 2
+paths = 2
+"""
+
+
 class TestVerifyIdentities:
     def test_conservative_config_residuals_at_roundoff(self, tmp_path):
         # constant conservative mode + plane wave: the noise is a global
@@ -338,6 +367,45 @@ class TestVerifyIdentities:
         assert not all(median_falls)
         assert summary["identities_pass"] == "true"
         assert summary["boundary_trusted"] == "true"
+
+    @pytest.mark.parametrize("caps", ["", "h1_blowup_factor = 1e300\nspacetime_blowup_factor = 1e300\n"],
+                             ids=["blowup", "numeric-failure"])
+    def test_unfinished_paths_fail_the_verdict(self, tmp_path, caps):
+        # every path stops at t = 0.001: a blowup, or with the caps out of reach a
+        # non-finite RK4 state.  The residuals reach 1e+218 and still fall from
+        # level to level, so only the unfinished-path count can fail the run.
+        cfg = write_cfg(tmp_path, BLOWUP_IDENTITIES_CFG, caps=caps)
+        assert main(["verify-identities", "--config", cfg]) == 0
+        summary = read_summary(tmp_path)
+        for name in ("mass", "hamiltonian", "lp", "h1"):
+            assert summary[f"identity_{name}_monotone"] == "true"
+        assert summary["identity_unfinished_paths"] == "2"
+        assert summary["identities_pass"] == "false"
+
+    def test_roundoff_floor(self, tmp_path):
+        # mass is pathwise constant here, so its mean sup residual is roundoff
+        # (6.6e-14, 2.0e-13, 2.7e-13 over the levels) and need not fall
+        text = CONFIGS.joinpath("conservative.cfg").read_text()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text.replace("scheme = both", "scheme = direct")
+                       + "\n[verify]\nlevels = 3\npaths = 4\n")
+        assert main(["verify-identities", "--config", str(cfg), "--seed", "8",
+                     "--out", str(tmp_path / "out")]) == 0
+        summary = read_summary(tmp_path)
+        sup = [float(summary[f"identity_mass_mean_sup_level_{lv}"]) for lv in range(3)]
+        floor = float(summary["identity_mass_roundoff_floor"])
+        assert not sup[0] > sup[1] > sup[2]
+        assert floor == pytest.approx(1e-12 * np.sqrt(np.pi))   # 1e-12 x mass(x)
+        assert max(sup) <= floor
+        assert summary["identity_mass_monotone"] == "true"
+        assert summary["identity_unfinished_paths"] == "0"
+        assert summary["identities_pass"] == "true"
+
+    @pytest.mark.parametrize("levels,paths", [(0, 4), (2, -4), (0, -4)])
+    def test_verify_values_below_one_are_an_error(self, tmp_path, capsys, levels, paths):
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=levels, paths=paths)
+        assert main(["verify-identities", "--config", cfg]) == 1
+        assert capsys.readouterr().err.startswith("snls: error:")
 
     @pytest.mark.parametrize("good,bad", [("m = 1\n", "m = 1.5\n"),
                                           ("mu_re = 1.0", "mu_re = x"),

@@ -1,12 +1,14 @@
+import hashlib
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snls.config import (_NOISE_KEYS, _PROBLEM_KEYS, _RUN_KEYS, _VERIFY_KEYS,
-                         ConfigError, InitialSpec, ModeConfig, RunConfig,
+from snls.config import (_NOISE_KEYS, _PROBLEM_KEYS, _REQUIRED, _RUN_KEYS, _SCHEMA,
+                         _VERIFY_KEYS, ConfigError, InitialSpec, ModeConfig, RunConfig,
                          RunSection, SnapshotError, VerifySection,
                          build_initial, build_noise_model, build_problem,
                          build_grid, parse_config, read_snapshot,
@@ -14,7 +16,8 @@ from snls.config import (_NOISE_KEYS, _PROBLEM_KEYS, _RUN_KEYS, _VERIFY_KEYS,
 from snls.dynamics import StepFlags
 from snls.spectral import Field, Grid
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 MINIMAL = """
 [problem]
@@ -105,6 +108,28 @@ profile = constant
     def test_negative_threads_rejected(self):
         with pytest.raises(ConfigError, match="threads"):
             parse_config(MINIMAL + "\n[run]\nthreads = -1\n")
+
+    @pytest.mark.parametrize("verify", ["levels = 0\n", "paths = -4\n",
+                                        "levels = 0\npaths = -4\n"],
+                             ids=["levels", "paths", "both"])
+    def test_verify_values_below_one_rejected(self, verify):
+        with pytest.raises(ConfigError, match=r"'(levels|paths)' in \[verify\]: must be >= 1"):
+            parse_config(MINIMAL + "\n[verify]\n" + verify)
+
+    @pytest.mark.parametrize("text,key,section", [
+        (MINIMAL + "width = wide\n", "width", "problem"),
+        (MINIMAL + "scheme = implicit\n", "scheme", "problem"),
+        (MINIMAL.replace("dt = 1e-3\n", ""), "dt", "problem"),
+        (MINIMAL + "\n[noise.1]\nmu_re = 1.0\nmu_im = 0.0\nprofile = plaid\n", "profile", "noise.1"),
+        (MINIMAL + "\n[noise.1]\nmu_re = 1.0\nprofile = constant\n", "mu_im", "noise.1"),
+        (MINIMAL + "\n[run]\nthreads = two\n", "threads", "run"),
+        (MINIMAL + "\n[verify]\nrungs = 3\n", "rungs", "verify"),
+    ], ids=["bad-float", "bad-choice", "missing", "bad-profile", "missing-noise", "bad-int",
+            "unknown"])
+    def test_error_names_key_and_section(self, text, key, section):
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        assert f"{key!r}" in str(info.value) and f"[{section}]" in str(info.value)
 
 
 def config_strategy():
@@ -207,6 +232,55 @@ def config_texts(draw):
     order = draw(st.permutations(names))
     return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in sections[name].items())
                    for name in order)
+
+
+# sha256 of serialize_config(parse_config(text)) per shipped config: a change
+# to the written format (key names, order, number formatting) shows here
+FORMAT_SHA256 = {
+    "bench/configs/ensemble-1d.cfg": "7b0aa21c9a2691d78a1dd3a61b8a21c0a44218eaf3edb10ede383272d65b61ad",
+    "bench/configs/exact-1d.cfg": "b6d7814fa0fc9febaeddf65ecaab05b2055a0b70e68ec1cac50393d839213f0b",
+    "bench/configs/identities-1d.cfg": "f27f08092d4753e0b2f0dc61dfff61449d53ff23b9c769e5ba9bc50e9beaa8bb",
+    "bench/configs/schemes-2d.cfg": "72c3e88feb1929bba4b0ed3b4fcd413c7108a8ce32ef1ed286987fedb66481c5",
+    "configs/blowup.cfg": "c3be72e4bb0fbfaaf427eb29db43456777179f5998f03484f00d70d424fc7df4",
+    "configs/conservative.cfg": "b92dd88d5f55bb2f61f49e0fab65bbb0f8c549904a7fde5292f98a8c42ee999e",
+    "configs/conservative_exact.cfg": "8422d01782036750f277b5ff6394b99c0c83415add82ddf40a152383ac21751f",
+    "configs/identities.cfg": "28be6aa818390aa488ef4017b2bd9e089c418258f27beff6c1a2f9062ebf81cb",
+    "configs/martingale.cfg": "57d30c7d62f62dadd1155a494e80d877beead3b654205165b126c742c8d4ca33",
+    "configs/soliton.cfg": "7d75bcf616b61aa3f6859af2648acd62fd3c15d068260d85e66605419919f479",
+}
+
+
+class TestFormat:
+    def test_every_shipped_config_is_pinned(self):
+        shipped = CONFIGS + sorted((ROOT / "bench" / "configs").glob("*.cfg"))
+        assert sorted(str(p.relative_to(ROOT)) for p in shipped) == sorted(FORMAT_SHA256)
+
+    @pytest.mark.parametrize("name", sorted(FORMAT_SHA256))
+    def test_serialized_text_is_pinned(self, name):
+        text = serialize_config(parse_config((ROOT / name).read_text()))
+        assert hashlib.sha256(text.encode()).hexdigest() == FORMAT_SHA256[name]
+
+    def test_readme_config_keys_table_is_the_schema(self):
+        """The README table lists every schema row in order, with the default
+        a config without the key gets ("required" where it has none)."""
+        cfg = parse_config(MINIMAL + "\n[noise.1]\nmu_re = 1.0\nmu_im = 0.0\nprofile = constant\n")
+        owners = {"problem": (cfg, cfg.initial), "noise.k": cfg.modes, "run": (cfg.run,),
+                  "verify": (cfg.verify,)}
+        expected = []
+        for section, rows in _SCHEMA.items():
+            for key, attr, (_, fmt), default in rows:
+                if default is _REQUIRED:
+                    expected.append((section, key, "required"))
+                    continue
+                (owner,) = [o for o in owners[section] if hasattr(o, attr)]
+                expected.append((section, key, fmt(getattr(owner, attr))))
+        readme = (ROOT / "README.md").read_text()
+        table = re.findall(r"^\| `\[(.+?)\]` \| `(\w+)` \| .* \| (.+) \|$", readme, re.M)
+        cell = {"required": "required", "empty": ""}
+        listed = [(section, key, cell[default] if default in cell
+                   else re.match(r"`([^`]*)`", default).group(1))
+                  for section, key, default in table]
+        assert listed == expected
 
 
 class TestFailClosed:

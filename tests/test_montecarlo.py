@@ -14,7 +14,7 @@ from snls.montecarlo import (EnsembleConfig, block_size, continuity_probe,
                              run_ensemble)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
                         sample_path)
-from snls.spectral import Field, Grid, h1_norm, quadrature
+from snls.spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -294,17 +294,20 @@ class TestConvergenceOrder:
 
 
 def hand_identity_ladder(x, spec, config):
-    """Reference for identity_ladder: one path at a time, one level at a time."""
+    """Reference for identity_ladder: one path at a time, one level at a time.
+    The boundary ratio is X's: of e^W y for the rescaled scheme, not of y."""
     solver = solve_rescaled if config.scheme == "rescaled" else solve_direct
     terminal = np.zeros((config.n_paths, 4, config.levels))
-    boundary = 0.0
+    boundary = y_boundary = 0.0
     for pid in range(config.n_paths):
         path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
         for level in range(config.levels):
             traj = solver(x, path, spec, SolveOptions(stride=1))
-            boundary = max(boundary, float(np.max(traj.diagnostic("boundary"))))
+            assert traj.status.kind == "finished"
+            y_boundary = max(y_boundary, float(np.max(traj.diagnostic("boundary"))))
             if config.scheme == "rescaled":
                 traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
+            boundary = max(boundary, max(boundary_ratio(s) for s in traj.snapshots))
             reports = [mass_identity(traj, path, spec.model),
                        hamiltonian_identity(traj, path, spec.model, spec),
                        lp_identity(traj, path, spec.model, spec),
@@ -313,7 +316,7 @@ def hand_identity_ladder(x, spec, config):
             if pid == 0 and level == config.levels - 1:
                 finest = reports
             path = refine_path(path)
-    return terminal, finest, boundary
+    return terminal, finest, boundary, y_boundary
 
 
 class TestIdentityLadder:
@@ -326,7 +329,7 @@ class TestIdentityLadder:
         x = gaussian(grid=grid)
         config = EnsembleConfig(n_paths=n_paths, seed=6, n_steps=20, levels=2, width=1,
                                 scheme=scheme)
-        terminal, finest, boundary = hand_identity_ladder(x, spec, config)
+        terminal, finest, boundary, y_boundary = hand_identity_ladder(x, spec, config)
         for width in (1, 2):
             ladder = identity_ladder(x, spec, replace(config, width=width))
             names = list(ladder.terminal)
@@ -335,6 +338,28 @@ class TestIdentityLadder:
                 assert np.array_equal(ladder.terminal[name], terminal[:, k])
                 assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
             assert ladder.boundary_max == boundary
+            assert ladder.statuses.shape == (n_paths, 2) and ladder.unfinished_paths == 0
+        if scheme == "direct":    # X is the solved state: the diagnostics' ratio, bit for bit
+            assert boundary == y_boundary
+
+    def test_rescaled_boundary_is_read_from_X(self):
+        # a wide gaussian reaches the faces, and there e^W lifts X above y
+        spec = spec_with_mode(1.0 + 0j, T=0.05)
+        x = gaussian(width=3.0)
+        config = EnsembleConfig(n_paths=2, seed=5, n_steps=20, levels=1, width=1,
+                                scheme="rescaled")
+        _, _, boundary, y_boundary = hand_identity_ladder(x, spec, config)
+        ladder = identity_ladder(x, spec, config)
+        assert ladder.boundary_max == boundary
+        assert boundary > y_boundary
+
+    def test_unfinished_paths_are_counted(self):
+        spec = spec_with_mode(1.0 + 0j, T=0.05)
+        config = EnsembleConfig(n_paths=3, seed=1, n_steps=20, levels=2, width=1,
+                                options=SolveOptions(thresholds=BlowupThresholds(h1_factor=0.5)))
+        ladder = identity_ladder(gaussian(), spec, config)
+        assert set(ladder.statuses.ravel()) == {"blowup"}
+        assert ladder.unfinished_paths == 3
 
 
 def hand_continuity_ratios(x, deltas, spec, config, direction):
