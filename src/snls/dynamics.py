@@ -229,43 +229,52 @@ class BlowupMonitor:
     L^{q1} power, q1 = 2(d+2)/(d-2), against a configured cap.
     """
 
-    def __init__(self, spec: ProblemSpec, thresholds: BlowupThresholds,
-                 h1_initial: np.ndarray, lq1_pow_initial: np.ndarray | None = None):
-        self.h1_cap = thresholds.h1_factor * h1_initial
-        self.h1_watched = h1_initial > 0
+    def __init__(self, spec: ProblemSpec, thresholds: BlowupThresholds, initial: dict):
+        """initial: the diagnostics row of the initial states, (B,) arrays."""
+        self.h1_cap = thresholds.h1_factor * initial["h1"]
+        self.h1_watched = initial["h1"] > 0
         self.critical = spec.regime.tag == REGIME_ENERGY_CRIT
-        self.accumulator = np.zeros(len(h1_initial))
+        self.accumulator = np.zeros(len(initial["h1"]))
         self.spacetime_cap = math.inf
         if self.critical:
-            base = np.maximum(lq1_pow_initial, 1.0)
+            base = np.maximum(initial["lq1_pow"], 1.0)
             self.spacetime_cap = thresholds.spacetime_factor * base * spec.T
 
-    def update(self, dt: float, row: dict) -> dict:
-        """Feed one diagnostics row; returns {path index: reason} of crossings."""
-        hits = {}
+    def scan(self, dt: float, rows: dict, failed: np.ndarray) -> dict:
+        """Feed the diagnostics rows of a run of steps, (k, B) arrays in time
+        order, with the (k, B) mask of failed (non-finite) states.  Returns
+        {path index: (row, kind, reason)} of each path's first event; a
+        failure beats a crossing in the same row."""
+        h1_hit = self.h1_watched & (rows["h1"] > self.h1_cap)
+        hit = h1_hit | failed
         if self.critical:
-            self.accumulator += row["lq1_pow"] * dt
-            hits = dict.fromkeys(np.flatnonzero(self.accumulator > self.spacetime_cap).tolist(),
-                                 "critical-spacetime-threshold")
-        crossed = self.h1_watched & (row["h1"] > self.h1_cap)
-        if crossed.any():
-            hits.update(dict.fromkeys(np.flatnonzero(crossed).tolist(), "h1-threshold"))
-        return hits
+            # one sequential sum from the carried value, as adding row by row does
+            acc = np.add.accumulate(np.concatenate([self.accumulator[None],
+                                                    rows["lq1_pow"] * dt]))
+            self.accumulator = acc[-1]
+            hit = hit | (acc[1:] > self.spacetime_cap)
+        events = {}
+        for b in np.flatnonzero(hit.any(axis=0)).tolist():
+            j = int(hit[:, b].argmax())
+            if failed[j, b]:
+                events[b] = (j, "numeric-failure", None)
+            else:
+                events[b] = (j, "blowup", "h1-threshold" if h1_hit[j, b]
+                             else "critical-spacetime-threshold")
+        return events
 
 
 def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
                   thresholds: BlowupThresholds = BlowupThresholds()) -> TrajectoryStatus:
-    """Replay a trajectory's diagnostic series through the crossing detector."""
-    h1 = trajectory.diagnostic("h1")
-    lq1 = trajectory.diagnostics.get("lq1_pow")
-    monitor = BlowupMonitor(spec, thresholds, h1[:1], None if lq1 is None else lq1[:1])
-    times = trajectory.times
-    for i in range(1, len(times)):
-        row = {"h1": h1[i:i + 1], "lq1_pow": None if lq1 is None else lq1[i:i + 1]}
-        hits = monitor.update(times[i] - times[i - 1], row)
-        if hits:
-            return TrajectoryStatus("blowup", times[i], hits[0])
-    return TrajectoryStatus("finished", float(times[-1]))
+    """Replay a trajectory's diagnostic series through the blowup monitor, as
+    solve_block does; a NaN row is a failed state."""
+    rows = {k: s[:, None] for k, s in trajectory.diagnostics.items()}
+    monitor = BlowupMonitor(spec, thresholds, {k: r[0] for k, r in rows.items()})
+    later = {k: r[1:] for k, r in rows.items()}
+    dt = trajectory.times[1] - trajectory.times[0]   # the step solve_block used
+    events = monitor.scan(dt, later, np.isnan(later["h1"]))
+    j, kind, reason = events.get(0, (len(trajectory.times) - 2, "finished", None))
+    return TrajectoryStatus(kind, float(trajectory.times[j + 1]), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +286,17 @@ def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
 # may evaluate `a * tmp` as `tmp *= a` on arrays of 256 KiB and more, and the
 # SIMD complex multiply is not bit-commutative.
 
+BLOCK_POINTS = 8192
+"""Grid points in one stack of states: paths per block times steps per chunk.
+32 paths on a 256-point line share each step's Python overhead, and a complex
+stack stays at 128 KiB, below the size at which NumPy reorders products."""
+
+
+def chunk_steps(n_paths: int, grid: Grid) -> int:
+    """Steps per chunk of n_paths paths: their states fill BLOCK_POINTS, at least one."""
+    return max(1, BLOCK_POINTS // (n_paths * grid.n ** grid.d))
+
+
 def _mode_sum(coeffs: np.ndarray, fields: np.ndarray) -> np.ndarray:
     """sum_j coeffs[:, j] fields[j] for (B, N) coefficients: a (B, *shape)
     block, summed mode by mode (a BLAS contraction's rounding depends on B)."""
@@ -286,20 +306,48 @@ def _mode_sum(coeffs: np.ndarray, fields: np.ndarray) -> np.ndarray:
     return out
 
 
-class _DirectStepper:
-    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
-        grid, model, dt = spec.grid, spec.model, paths[0].dt
-        self.spec, self.flags, self.dt, self.d = spec, flags, dt, grid.d
-        self.lin_mult = np.exp(1j * grid.k_squared * dt)
+class _Stepper:
+    """The work that needs only the Brownian paths runs for `chunk` steps at
+    a time: the fields sum_j coeffs[t, b, j] fields[j] of the chunk's steps
+    are one (k*B, *grid.shape) stack of rows, and _path_chunk maps it to the
+    arrays the steps use, each reshaped to a leading axis of k steps."""
+
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int):
+        self.spec, self.flags, self.grid, self.chunk = spec, flags, spec.grid, chunk
+        self.dt, self.n_steps = paths[0].dt, paths[0].n_steps
+        self.has_noise = flags.noise and spec.model.n_modes > 0
+        self._start = self._stop = 0
+
+    def _path_rows(self, t_index: int) -> list:
+        if not self._start <= t_index < self._stop:
+            self._start, self._stop = t_index, min(t_index + self.chunk, self.n_steps)
+            coeffs = self.coeffs[self._start:self._stop]
+            fields = _mode_sum(coeffs.reshape(-1, coeffs.shape[-1]), self.fields)
+            self._arrays = [a.reshape(len(coeffs), -1, *a.shape[1:])
+                            for a in self._path_chunk(fields)]
+        rows = [a[t_index - self._start] for a in self._arrays]
+        if t_index + 1 == self._stop:   # free the chunk's arrays with its last step
+            self._stop, self._arrays = 0, None
+        return rows
+
+
+class _DirectStepper(_Stepper):
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int = 1):
+        super().__init__(spec, paths, flags, chunk)
+        model = spec.model
+        self.lin_mult = np.exp(1j * self.grid.k_squared * self.dt)
         damp = model.mu_field.astype(np.complex128) if flags.omit_mu_tilde else model.damping
-        self.has_noise = flags.noise and model.n_modes > 0
         if self.has_noise:
             # real phi and damping (every non-conservative config) need only
             # a real exp for the noise factor, ~10x cheaper than a complex one
             real = not (np.any(model.phi_stack.imag) or np.any(damp.imag))
-            self.phi = model.phi_stack.real if real else model.phi_stack
-            self.damp_dt = (damp.real if real else damp) * dt
-            self.increments = np.stack([p.increments for p in paths], axis=1)
+            self.fields = model.phi_stack.real if real else model.phi_stack
+            self.damp_dt = (damp.real if real else damp) * self.dt
+            self.coeffs = np.stack([p.increments for p in paths], axis=1)
+
+    def _path_chunk(self, dW: np.ndarray) -> list:
+        """The noise factor exp(dW - damping dt) of each step."""
+        return [np.exp(dW - self.damp_dt)]
 
     def _half_phase(self, v: np.ndarray) -> np.ndarray:
         power = guarded_abs_power(v, self.spec.alpha - 1.0)
@@ -309,11 +357,11 @@ class _DirectStepper:
         if self.flags.nonlinear:
             v = self._half_phase(v)
         if self.flags.linear:
-            vhat = fft_trailing(v, self.d)
-            v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.d, inverse=True)
+            vhat = fft_trailing(v, self.grid.d)
+            v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.grid.d, inverse=True)
         if self.has_noise:
-            dW = _mode_sum(self.increments[t_index], self.phi)
-            v = np.multiply(v, np.exp(dW - self.damp_dt))
+            (factor,) = self._path_rows(t_index)
+            v = np.multiply(v, factor)
         if self.flags.nonlinear:
             v = self._half_phase(v)
         return v
@@ -345,40 +393,47 @@ def rescaled_coefficients(model: NoiseModel, path: WienerPath, t_index: int):
     return [Field(model.grid, 2.0 * g) for g in grads], Field(model.grid, c)
 
 
-class _RescaledStepper:
+class _RescaledStepper(_Stepper):
     """RK4 on the rescaled right-hand side, coefficients frozen per step."""
 
-    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
-        grid, dt = spec.grid, paths[0].dt
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int = 1):
+        super().__init__(spec, paths, flags, chunk)
+        grid, dt = spec.grid, self.dt
         if flags.linear and dt * grid.k_max ** 2 > CFL_BOUND * CFL_SAFETY:
             raise CFLError(
                 f"dt*max|k|^2 = {dt * grid.k_max ** 2:.3f} exceeds "
                 f"{CFL_BOUND * CFL_SAFETY:.2f}; refine dt or coarsen the grid")
-        self.grid, self.spec, self.flags, self.dt = grid, spec, flags, dt
-        self.has_noise = flags.noise and spec.model.n_modes > 0
+        # symbols of Lap and, with noise, of each d_j: their products with u_hat
+        # share inverse FFTs in stacks of `chunk`, as a chunk's states share a stack
+        self.symbols = np.stack([-grid.k_squared] + (
+            [1j * km for km in grid.k_meshes] if self.has_noise else []))
         if self.has_noise:
-            self.betas = np.stack([p.betas for p in paths], axis=1)
+            self.fields = spec.model.phi_stack
+            self.coeffs = np.stack([p.betas for p in paths], axis=1)
 
-    def _frozen_coefficients(self, t_index: int):
-        if not self.has_noise:
-            return None, None, None
-        W = _mode_sum(self.betas[t_index], self.spec.model.phi_stack)
+    def _path_chunk(self, W: np.ndarray) -> list:
+        """b = 2 grad W (one array per axis), c and the envelope e^{(a-1)Re W},
+        frozen at the step's left endpoint."""
         grads, c = _coefficient_arrays(self.spec.model, W)
-        env = np.exp((self.spec.alpha - 1.0) * W.real)
-        return [2.0 * g for g in grads], c, env
+        return [2.0 * g for g in grads] + [c, np.exp((self.spec.alpha - 1.0) * W.real)]
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
         grid, spec, dt, d = self.grid, self.spec, self.dt, self.grid.d
-        b, c, env = self._frozen_coefficients(t_index)
+        b = c = env = None
+        if self.has_noise:
+            *b, c, env = self._path_rows(t_index)
 
         def rhs(u):
             out = np.zeros_like(u)
             if self.flags.linear:
                 uhat = fft_trailing(u, d)
-                Au = fft_trailing(-grid.k_squared * uhat, d, inverse=True)
+                parts = (part for a in range(0, len(self.symbols), self.chunk)
+                         for part in fft_trailing(np.multiply(self.symbols[a:a + self.chunk, None],
+                                                              uhat), d, inverse=True))
+                Au = next(parts)
                 if b is not None:
-                    for a_ax, km in enumerate(grid.k_meshes):
-                        Au = Au + np.multiply(b[a_ax], fft_trailing(1j * km * uhat, d, inverse=True))
+                    for b_ax, part in zip(b, parts):
+                        Au = Au + np.multiply(b_ax, part)
                     Au = Au + np.multiply(c, u)
                 out = -1j * Au
             if self.flags.nonlinear:
@@ -414,7 +469,10 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     one block from x: one Field for every path, or a (B, *grid.shape) stack of
     one initial state per path.  One Trajectory per path (y-variables for the
     rescaled scheme); each keeps its own finite check, blowup crossing, status
-    and stop index, and a stopped path is zeroed."""
+    and stop index.  Steps run in chunks of chunk_steps(B, grid): the finite
+    check and the diagnostics of a chunk's stacked states run once, and their
+    rows pass through the blowup monitor in time order.  A path stops at its
+    first event; later rows are dropped and the path is zeroed."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -422,8 +480,9 @@ def solve_block(x, paths: list, spec: ProblemSpec,
         raise ValueError(f"unknown scheme {scheme!r}")
     if not paths or len({(p.n_steps, p.dt) for p in paths}) != 1:
         raise ValueError("a path block needs at least one path, all on one time grid")
-    stepper = _STEPPERS[scheme](spec, paths, options.flags)
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
+    chunk = chunk_steps(n_paths, grid)
+    stepper = _STEPPERS[scheme](spec, paths, options.flags, chunk)
     q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
     x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
     v = np.array(x0, dtype=np.complex128, order="C")
@@ -432,39 +491,40 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     for k, s in series.items():
         s[:, 0] = row[k]
     snaps = [[(0, v[b].copy())] if options.record_snapshots else [] for b in range(n_paths)]
-    monitor = BlowupMonitor(spec, options.thresholds, row["h1"], row.get("lq1_pow"))
+    monitor = BlowupMonitor(spec, options.thresholds, row)
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
     active = np.ones(n_paths, dtype=bool)
 
-    def stop(b, kind, reason=None, snapshot=False):
-        statuses[b] = TrajectoryStatus(kind, float(paths[b].times[i]), reason)
-        last[b], active[b] = i, False
-        if snapshot:
-            snaps[b].append((i, v[b].copy()))
-        v[b] = 0.0
-
-    for i in range(1, n_steps + 1):
-        v = stepper.step(v, i - 1)
-        finite = np.isfinite(v).reshape(n_paths, -1).all(axis=1)
-        failed = [] if finite.all() else np.flatnonzero(active & ~finite)
-        for b in failed:
-            stop(b, "numeric-failure")
-        row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
-        for b in failed:
-            for r in row.values():
-                r[b] = np.nan
-        for k, s in series.items():
-            s[:, i] = row[k]
-        snap_due = options.record_snapshots and i % options.stride == 0
-        for b in range(n_paths) if snap_due else ():
-            if active[b]:
-                snaps[b].append((i, v[b].copy()))
-        for b, reason in monitor.update(stepper.dt, row).items():
-            if active[b]:
-                stop(b, "blowup", reason, options.record_snapshots and not snap_due)
-        if not active.any():
-            break
+    # a path's state may overflow before its non-finite row stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, chunk):
+            k = min(chunk, n_steps - start)
+            states = np.empty((k, n_paths, *grid.shape), dtype=np.complex128)
+            for j in range(k):
+                v = states[j] = stepper.step(v, start + j)
+            rows = {key: r.reshape(k, n_paths) for key, r in _diag_rows(
+                grid, states.reshape(k * n_paths, *grid.shape), spec.alpha, spec.lam, q1).items()}
+            failed = ~np.isfinite(states).reshape(k, n_paths, -1).all(axis=2)
+            if failed.any():
+                for r in rows.values():
+                    r[failed] = np.nan
+            for key, r in rows.items():
+                series[key][:, start + 1:start + k + 1] = r.T
+            events = monitor.scan(stepper.dt, rows, failed)
+            if options.record_snapshots:
+                due = [j for j in range(k) if (start + j + 1) % options.stride == 0]
+                for b in np.flatnonzero(active):
+                    stop, kind, _ = events.get(b, (k, None, None))
+                    kept = [j for j in due if j < stop] + ([stop] if kind == "blowup" else [])
+                    snaps[b] += [(start + j + 1, states[j, b].copy()) for j in kept]
+            for b, (stop, kind, reason) in events.items():
+                if active[b]:
+                    last[b], active[b] = start + stop + 1, False
+                    statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
+                    v[b] = 0.0
+            if not active.any():
+                break
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
                        {k: s[b, :last[b] + 1] for k, s in series.items()},
                        [i for i, _ in snaps[b]], [Field(grid, a) for _, a in snaps[b]],

@@ -1,9 +1,9 @@
 """Ensemble execution and statistical verification.
 
 Paths are independent by construction (counter-based seeds keyed on the path
-index) and are solved in fixed-size blocks whose size depends on the grid
-alone, so workers can run blocks in any order at any parallel width; the
-reduction is an ordered fold by path index and ensemble reports are
+index) and are solved in consecutive blocks whose sizes depend on the grid
+and the path count alone, so workers can run blocks in any order at any
+parallel width; the reduction is an ordered fold by path index and ensemble reports are
 bit-reproducible for a fixed (master seed, config).
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -18,16 +19,13 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import ProblemSpec, RegimeError, SolveOptions, rescaled_to_X, solve_block
+from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
+                       solve_block)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
 from .identities import ALL_IDENTITIES
 from .noise import ladder_paths
 from .spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
-
-BLOCK_POINTS = 8192
-"""Grid points per path block: 32 paths on a 256-point line share each step's
-Python overhead, and a complex block stays under 256 KiB."""
 
 
 def block_size(grid: Grid) -> int:
@@ -66,11 +64,16 @@ class EnsembleReport:
     def failure_count(self) -> int:
         return sum(1 for s in self.statuses if s.kind == "numeric-failure")
 
+    # NaN at times with too few finite paths, without numpy's warning about them
     def mean(self, obs: str) -> np.ndarray:
-        return np.nanmean(self.per_path[obs], axis=0)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
+            return np.nanmean(self.per_path[obs], axis=0)
 
     def variance(self, obs: str) -> np.ndarray:
-        return np.nanvar(self.per_path[obs], axis=0, ddof=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Degrees of freedom <= 0", RuntimeWarning)
+            return np.nanvar(self.per_path[obs], axis=0, ddof=1)
 
     def stderr(self, obs: str) -> np.ndarray:
         finite = np.sum(np.isfinite(self.per_path[obs]), axis=0)
@@ -112,10 +115,13 @@ def _worker_block(ids):
 
 
 def _map_blocks(task, config: EnsembleConfig, block: int) -> list:
-    """task(ids) over consecutive blocks of the config's path ids, in-process
-    at width 1 or over a pool; the per-path results in path order."""
+    """task(ids) over the config's path ids in ceil(n_paths / block) consecutive
+    blocks whose sizes differ by at most one, in-process at width 1 or over a
+    pool; the per-path results in path order."""
     n_paths, width = config.n_paths, ensemble_width(config)
-    blocks = [range(s, min(s + block, n_paths)) for s in range(0, n_paths, block)]
+    n_blocks = -(-n_paths // block)
+    blocks = [range(n_paths * j // n_blocks, n_paths * (j + 1) // n_blocks)
+              for j in range(n_blocks)]
     if width == 1 or len(blocks) == 1:
         parts = [task(ids) for ids in blocks]
     else:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,18 @@ class TestEnsemble:
         assert summary["boundary_trusted"] == trusted
         header = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[0]
         assert header.endswith(",lp_ci3,boundary_mean,boundary_var,boundary_ci3")
+
+    def test_blowup_config_runs_without_warnings(self, tmp_path):
+        # the single path blows up, so later times have no finite path and
+        # every time has fewer than two: NaN statistics, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["ensemble", "--config", str(CONFIGS / "blowup.cfg"),
+                         "--out", str(tmp_path / "out")]) == 0
+        summary = read_summary(tmp_path)
+        assert summary["blowup_paths"] == "1"
+        last = (tmp_path / "out" / "ensemble.csv").read_text().splitlines()[-1]
+        assert last.split(",")[1:4] == ["nan", "nan", "nan"]
 
     @pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2"])
     def test_invalid_snls_threads_is_an_error(self, tmp_path, monkeypatch, capsys, value):

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snls.dynamics
 from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
                            RegimeError, SolveOptions, StepFlags,
-                           BlowupThresholds, classify, detect_blowup,
+                           BlowupThresholds, chunk_steps, classify, detect_blowup,
                            guarded_abs_power, is_strichartz_pair, picard_solve,
                            propagator_apply, rescaled_coefficients,
                            rescaled_to_X, solve_block, solve_direct,
@@ -239,6 +240,64 @@ class TestSolveBlock:
                  sample_path(spec.model, 0.5, 20, seed=0)]
         with pytest.raises(ValueError):
             solve_block(gaussian(), paths, spec)
+
+
+def chunk_case(name):
+    """(spec, x, paths, options, status kinds) of one chunk-invariance case:
+    two paths over 200 steps, snapshots at every second step."""
+    grid = Grid(3, 8, 8.0) if name == "energy-critical" else GRID
+    mus = {"complex": (0.6 + 0.5j,), "three-mode": (1.0, 0.4, 0.3)}.get(name, (1.0,))
+    model = build_model([NoiseMode(mu, GaussianProfile(0.5 if name == "blowup" else 1.0,
+                                                       2.0 + j, (j, 0, 0)))
+                         for j, mu in enumerate(mus)], grid)
+    T, x, thresholds, kinds = 0.1, gaussian(grid), BlowupThresholds(), {"finished"}
+    if name == "blowup":            # focusing quintic, tight H1 cap
+        T, x, kinds = 0.05, gaussian(grid, amp=3.0), {"blowup"}
+        thresholds = BlowupThresholds(h1_factor=1.5)
+    if name == "energy-critical":   # d = 3, alpha = 5: the space-time power accumulates
+        thresholds, kinds = BlowupThresholds(spacetime_factor=0.3), {"blowup"}
+    spec = ProblemSpec(grid, model, 5.0 if name in ("blowup", "energy-critical") else 3.0,
+                       1 if name == "blowup" else -1, T)
+    paths = [sample_path(model, T, 200, seed=5, path_id=i) for i in range(2)]
+    if name == "non-finite":        # a huge increment overflows the noise factor
+        for path, step in zip(paths, (49, 101)):
+            path.increments[step - 1] = 1e3
+        kinds = {"numeric-failure"}
+    return spec, x, paths, SolveOptions(stride=2, thresholds=thresholds), kinds
+
+
+class TestChunkInvariance:
+    """solve_block's outputs do not depend on the steps per chunk."""
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    @pytest.mark.parametrize("case", ["real", "complex", "three-mode", "blowup",
+                                      "non-finite", "energy-critical"])
+    def test_bit_identical_at_every_chunk_length(self, monkeypatch, case, scheme):
+        spec, x, paths, opts, kinds = chunk_case(case)
+        grid, n_paths = spec.grid, len(paths)
+        runs = {}
+        for K in (1, 3, chunk_steps(n_paths, grid)):
+            monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", K * n_paths * grid.n ** grid.d)
+            assert chunk_steps(n_paths, grid) == K
+            runs[K] = solve_block(x, paths, spec, opts, scheme)
+        want = runs.pop(1)
+        assert {t.status.kind for t in want} == kinds
+        # replaying the stored diagnostics finds each path's own status
+        assert [detect_blowup(t, spec, opts.thresholds) for t in want] == [t.status for t in want]
+        if case == "energy-critical":
+            assert {t.status.reason for t in want} == {"critical-spacetime-threshold"}
+        stops = [len(t.times) - 1 for t in want]
+        for K, got in runs.items():
+            if kinds != {"finished"}:   # some path stops inside a chunk, not at its end
+                assert any(s % K for s in stops), (K, stops)
+            for a, b in zip(got, want):
+                assert a.status == b.status
+                assert a.times.tobytes() == b.times.tobytes()
+                assert a.snapshot_indices == b.snapshot_indices
+                for name in b.diagnostics:
+                    assert a.diagnostic(name).tobytes() == b.diagnostic(name).tobytes()
+                for p, q in zip(a.snapshots, b.snapshots):
+                    assert p.values.tobytes() == q.values.tobytes()
 
 
 class TestRescaledCoefficients:
