@@ -271,10 +271,12 @@ def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
     rows = {k: s[:, None] for k, s in trajectory.diagnostics.items()}
     monitor = BlowupMonitor(spec, thresholds, {k: r[0] for k, r in rows.items()})
     later = {k: r[1:] for k, r in rows.items()}
-    dt = trajectory.times[1] - trajectory.times[0]   # the step solve_block used
-    events = monitor.scan(dt, later, np.isnan(later["h1"]))
-    j, kind, reason = events.get(0, (len(trajectory.times) - 2, "finished", None))
-    return TrajectoryStatus(kind, float(trajectory.times[j + 1]), reason)
+    times = trajectory.times
+    if len(times) == 1:
+        return TrajectoryStatus("finished", float(times[0]))
+    events = monitor.scan(times[1] - times[0], later, np.isnan(later["h1"]))  # solve_block's dt
+    j, kind, reason = events.get(0, (len(times) - 2, "finished", None))
+    return TrajectoryStatus(kind, float(times[j + 1]), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +405,6 @@ class _RescaledStepper(_Stepper):
             raise CFLError(
                 f"dt*max|k|^2 = {dt * grid.k_max ** 2:.3f} exceeds "
                 f"{CFL_BOUND * CFL_SAFETY:.2f}; refine dt or coarsen the grid")
-        # symbols of Lap and, with noise, of each d_j: their products with u_hat
-        # share inverse FFTs in stacks of `chunk`, as a chunk's states share a stack
-        self.symbols = np.stack([-grid.k_squared] + (
-            [1j * km for km in grid.k_meshes] if self.has_noise else []))
         if self.has_noise:
             self.fields = spec.model.phi_stack
             self.coeffs = np.stack([p.betas for p in paths], axis=1)
@@ -427,13 +425,10 @@ class _RescaledStepper(_Stepper):
             out = np.zeros_like(u)
             if self.flags.linear:
                 uhat = fft_trailing(u, d)
-                parts = (part for a in range(0, len(self.symbols), self.chunk)
-                         for part in fft_trailing(np.multiply(self.symbols[a:a + self.chunk, None],
-                                                              uhat), d, inverse=True))
-                Au = next(parts)
+                Au = fft_trailing(-grid.k_squared * uhat, d, inverse=True)
                 if b is not None:
-                    for b_ax, part in zip(b, parts):
-                        Au = Au + np.multiply(b_ax, part)
+                    for b_ax, km in zip(b, grid.k_meshes):
+                        Au = Au + np.multiply(b_ax, fft_trailing(1j * km * uhat, d, inverse=True))
                     Au = Au + np.multiply(c, u)
                 out = -1j * Au
             if self.flags.nonlinear:

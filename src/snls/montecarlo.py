@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
+from .dynamics import (ProblemSpec, RegimeError, SolveOptions, chunk_steps, rescaled_to_X,
                        solve_block)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
@@ -29,8 +29,8 @@ from .spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
 
 
 def block_size(grid: Grid) -> int:
-    """Paths per block: as many as fit in BLOCK_POINTS grid points, at least one."""
-    return max(1, BLOCK_POINTS // grid.n ** grid.d)
+    """Paths per block: as many as one step's chunk of states holds."""
+    return chunk_steps(1, grid)
 
 
 @dataclass(frozen=True)

@@ -557,6 +557,15 @@ class TestBlowup:
         traj = solve_direct(Field(GRID, np.zeros(GRID.shape)), path, spec)
         assert traj.status.kind == "finished"
 
+    def test_replay_of_one_time_point_is_finished(self):
+        spec = det_spec(T=0.5)
+        path = sample_path(spec.model, 0.5, 100, seed=0)
+        traj = solve_direct(gaussian(), path, spec, SolveOptions(record_snapshots=False))
+        traj.times = traj.times[:1]
+        traj.diagnostics = {k: s[:1] for k, s in traj.diagnostics.items()}
+        assert detect_blowup(traj, spec).kind == "finished"
+        assert detect_blowup(traj, spec).t == 0.0
+
 
 class TestSelfConvergenceOrders:
     def _terminal(self, solver, x, path, spec):
