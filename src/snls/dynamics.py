@@ -204,7 +204,7 @@ def _critical_spacetime_exponent(d: int) -> float:
 
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
-    """Diagnostics of each row of a (B, *grid.shape) block, as (B,) arrays."""
+    """Diagnostics of each row of a (..., *grid.shape) block, one array each."""
     m = quadrature(grid, v.real ** 2 + v.imag ** 2)
     grad2 = grad_sq_norms(grid, v)
     a = np.abs(v)
@@ -498,8 +498,7 @@ def solve_block(x, paths: list, spec: ProblemSpec,
             states = np.empty((k, n_paths, *grid.shape), dtype=np.complex128)
             for j in range(k):
                 v = states[j] = stepper.step(v, start + j)
-            rows = {key: r.reshape(k, n_paths) for key, r in _diag_rows(
-                grid, states.reshape(k * n_paths, *grid.shape), spec.alpha, spec.lam, q1).items()}
+            rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
             failed = ~np.isfinite(states).reshape(k, n_paths, -1).all(axis=2)
             if failed.any():
                 for r in rows.values():

@@ -274,17 +274,17 @@ def boundary_ratio(u: Field) -> float:
     The box truncates all of space; runs are only trusted while fields stay
     below 1e-8 of peak at the boundary.
     """
-    return float(boundary_ratios(u.grid, np.abs(u.values)[None])[0])
+    return float(boundary_ratios(u.grid, np.abs(u.values)))
 
 
 def boundary_ratios(grid: Grid, moduli: np.ndarray) -> np.ndarray:
-    """boundary_ratio of each row of a (B, *grid.shape) block of |u|."""
-    rows = moduli.shape[0]
-    faces = [moduli[(slice(None),) * ax + (idx,)].reshape(rows, -1)
-             for ax in range(1, grid.d + 1) for idx in (0, -1)]
-    edge = np.concatenate(faces, axis=1).max(axis=1)
-    peak = moduli.reshape(rows, -1).max(axis=1)
-    return np.divide(edge, peak, out=np.zeros(rows), where=peak > 0)
+    """boundary_ratio of each row of a (..., *grid.shape) block of |u|."""
+    lead = moduli.shape[:moduli.ndim - grid.d]
+    faces = [moduli[(Ellipsis, idx) + (slice(None),) * ax].reshape(*lead, -1)
+             for ax in range(grid.d) for idx in (0, -1)]
+    edge = np.concatenate(faces, axis=-1).max(axis=-1)
+    peak = moduli.reshape(*lead, -1).max(axis=-1)
+    return np.divide(edge, peak, out=np.zeros(lead), where=peak > 0)
 
 
 BOUNDARY_DECAY_TOL = 1e-8
