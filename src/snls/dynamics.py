@@ -27,7 +27,7 @@ import numpy as np
 
 from .noise import NoiseModel, WienerPath, eval_W
 from .spectral import (Field, Grid, boundary_ratios, fft_trailing, grad_sq_norms,
-                       quadrature)
+                       guarded_abs_power, quadrature)
 from .functionals import energy_critical_alpha, mass_critical_alpha
 
 # RK4 stability interval on the imaginary axis is |z| <= 2*sqrt(2) ~ 2.83;
@@ -35,8 +35,6 @@ from .functionals import energy_critical_alpha, mass_critical_alpha
 # inside it with a 10% margin.
 CFL_BOUND = 2.8
 CFL_SAFETY = 0.9
-
-TINY_MODULUS = 1e-150
 
 
 class CFLError(RuntimeError):
@@ -186,15 +184,6 @@ class Trajectory:
         return self.diagnostics[name]
 
 
-def guarded_abs_power(values: np.ndarray, expo: float) -> np.ndarray:
-    """|v|^expo as exp(expo*log|v|), zero below the underflow guard."""
-    r = np.abs(values)
-    out = np.zeros_like(r)
-    mask = r >= TINY_MODULUS
-    out[mask] = np.exp(expo * np.log(r[mask]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # diagnostics and blowup monitoring
 
@@ -205,10 +194,9 @@ def _critical_spacetime_exponent(d: int) -> float:
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
     """Diagnostics of each row of a (..., *grid.shape) block, one array each."""
-    m = quadrature(grid, v.real ** 2 + v.imag ** 2)
+    m = quadrature(grid, guarded_abs_power(v, 2.0))
     grad2 = grad_sq_norms(grid, v)
-    a = np.abs(v)
-    lp_p = quadrature(grid, a ** (alpha + 1.0))
+    lp_p = quadrature(grid, guarded_abs_power(v, alpha + 1.0))
     row = {
         "mass": m,
         "hamiltonian": 0.5 * grad2 - (lam / (alpha + 1.0)) * lp_p,
@@ -216,8 +204,8 @@ def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
         "lp": lp_p ** (1.0 / (alpha + 1.0)),
     }
     if q1 is not None:
-        row["lq1_pow"] = quadrature(grid, a ** q1)
-    row["boundary"] = boundary_ratios(grid, a)
+        row["lq1_pow"] = quadrature(grid, guarded_abs_power(v, q1))
+    row["boundary"] = boundary_ratios(grid, np.abs(v))
     return row
 
 
@@ -314,6 +302,8 @@ class _Stepper:
     are one (k*B, *grid.shape) stack of rows, and _path_chunk maps it to the
     arrays the steps use, each reshaped to a leading axis of k steps."""
 
+    phase = None   # the direct scheme's kept half-phase factor, one row per path
+
     def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int):
         self.spec, self.flags, self.grid, self.chunk = spec, flags, spec.grid, chunk
         self.dt, self.n_steps = paths[0].dt, paths[0].n_steps
@@ -351,13 +341,15 @@ class _DirectStepper(_Stepper):
         """The noise factor exp(dW - damping dt) of each step."""
         return [np.exp(dW - self.damp_dt)]
 
-    def _half_phase(self, v: np.ndarray) -> np.ndarray:
+    def _phase(self, v: np.ndarray) -> np.ndarray:
+        """exp(-i lam |v|^{alpha-1} dt/2).  The phase flow keeps |v|, so a
+        step's trailing factor is kept as the next step's leading one."""
         power = guarded_abs_power(v, self.spec.alpha - 1.0)
-        return np.multiply(v, np.exp(-1j * self.spec.lam * power * (0.5 * self.dt)))
+        return np.exp(-1j * self.spec.lam * power * (0.5 * self.dt))
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
         if self.flags.nonlinear:
-            v = self._half_phase(v)
+            v = np.multiply(v, self._phase(v) if self.phase is None else self.phase)
         if self.flags.linear:
             vhat = fft_trailing(v, self.grid.d)
             v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.grid.d, inverse=True)
@@ -365,7 +357,8 @@ class _DirectStepper(_Stepper):
             (factor,) = self._path_rows(t_index)
             v = np.multiply(v, factor)
         if self.flags.nonlinear:
-            v = self._half_phase(v)
+            self.phase = self._phase(v)
+            v = np.multiply(v, self.phase)
         return v
 
 
@@ -517,6 +510,8 @@ def solve_block(x, paths: list, spec: ProblemSpec,
                     last[b], active[b] = start + stop + 1, False
                     statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
                     v[b] = 0.0
+                    if stepper.phase is not None:   # a NaN factor would turn 0 into NaN
+                        stepper.phase[b] = 1.0
             if not active.any():
                 break
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
@@ -628,7 +623,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                 new = u - 1j * spec.lam * v
                 new[0] = u[0]
                 diff = new - y
-                dist = float(np.sqrt(quadrature(grid, diff.real ** 2 + diff.imag ** 2)).max())
+                dist = float(np.sqrt(quadrature(grid, guarded_abs_power(diff, 2.0))).max())
                 distances.append(dist)
                 y = new
                 if not math.isfinite(dist):

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import (Field, Grid, grad_sq_norms, inverse, l2_norm_grad, lp_norm,
-                       quadrature)
+from .spectral import (Field, Grid, grad_sq_norms, guarded_abs_power, inverse,
+                       l2_norm_grad, lp_norm, quadrature)
 
 
 def mass(u: Field) -> float:
     """|u|_2^2 = h^d sum |u|^2."""
-    v = u.values
-    return float(quadrature(u.grid, v.real ** 2 + v.imag ** 2))
+    return float(quadrature(u.grid, guarded_abs_power(u.values, 2.0)))
 
 
 def energy_critical_alpha(d: int) -> float:
@@ -36,7 +35,7 @@ def hamiltonian(u: Field, alpha: float, lam: int) -> float:
     """H(u) = 1/2 |grad u|_2^2 - lam/(alpha+1) |u|_{alpha+1}^{alpha+1}."""
     _check_alpha(alpha, u.grid.d)
     kinetic = 0.5 * grad_sq_norms(u.grid, u.values)
-    potential = quadrature(u.grid, np.abs(u.values) ** (alpha + 1.0))
+    potential = quadrature(u.grid, guarded_abs_power(u.values, alpha + 1.0))
     return float(kinetic - (lam / (alpha + 1.0)) * potential)
 
 

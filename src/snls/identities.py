@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ProblemSpec, Trajectory, guarded_abs_power
+from .dynamics import ProblemSpec, Trajectory
 from .noise import NoiseModel, WienerPath
-from .spectral import (Grid, grad_sq_norms, gradient_arrays, nyquist_cutoff,
-                       quadrature, theta_m_values)
+from .spectral import (Grid, grad_sq_norms, gradient_arrays, guarded_abs_power,
+                       nyquist_cutoff, quadrature, theta_m_values)
 
 
 class StrideError(ValueError):
@@ -108,7 +108,7 @@ def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> Iden
     lhs = np.empty(n)
     noise_incr = np.zeros(n)
     for rows, v in _chunks(traj, grid):
-        abs2 = v.real ** 2 + v.imag ** 2
+        abs2 = guarded_abs_power(v, 2.0)
         lhs[rows] = quadrature(grid, abs2)
         if not use_noise:
             continue
@@ -131,7 +131,7 @@ def _gradient_noise_terms(grid: Grid, model: NoiseModel, v: np.ndarray, gv: list
     mart_grad = np.zeros(len(v))
     for j, phi in enumerate(model.phi_fields):
         g_phiv = gradient_arrays(grid, np.multiply(phi, v))
-        quad = sum(quadrature(grid, ga.real ** 2 + ga.imag ** 2) for ga in g_phiv)
+        quad = sum(quadrature(grid, guarded_abs_power(ga, 2.0)) for ga in g_phiv)
         qv_grad += 0.5 * dt * quad
         mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
     return mu_drift, qv_grad, mart_grad

@@ -174,11 +174,32 @@ def quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
     return grid.cell_volume * rows.sum(axis=-1)
 
 
+TINY_MODULUS = 1e-150
+
+
+def guarded_abs_power(values: np.ndarray, expo: float) -> np.ndarray:
+    """|v|^expo.  For expo = 2, 4, 6, ... a product of re^2 + im^2; otherwise
+    exp(expo*log|v|), exactly zero below the underflow guard."""
+    if expo >= 2.0 and (expo / 2.0).is_integer():
+        s = values.real ** 2
+        s += values.imag ** 2
+        power = s
+        for _ in range(int(expo) // 2 - 1):
+            power = power * s
+        return power
+    r = np.abs(values)
+    mask = r >= TINY_MODULUS
+    out = np.log(r, out=np.zeros_like(r), where=mask)
+    np.multiply(out, expo, out=out, where=mask)
+    return np.exp(out, out=out, where=mask)
+
+
 def grad_sq_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
     """|grad u|_2^2 of each row by Parseval: h^d/n^d sum |k|^2 |u_hat|^2
     (n^d is a power of two, so the division is exact)."""
-    vhat = fft_trailing(values, grid.d)
-    return quadrature(grid, grid.k_squared * (vhat.real ** 2 + vhat.imag ** 2)) / grid.n ** grid.d
+    p = guarded_abs_power(fft_trailing(values, grid.d), 2.0)
+    p *= grid.k_squared
+    return quadrature(grid, p) / grid.n ** grid.d
 
 
 def gradient_arrays(grid: Grid, values: np.ndarray) -> list:
@@ -214,7 +235,7 @@ def lp_norm(u: Field, p: float) -> float:
         return float(np.max(np.abs(u.values)))
     if p < 1:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(quadrature(u.grid, np.abs(u.values) ** p) ** (1.0 / p))
+    return float(quadrature(u.grid, guarded_abs_power(u.values, p)) ** (1.0 / p))
 
 
 def l2_norm_grad(u: Field) -> float:

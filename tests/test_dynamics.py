@@ -16,8 +16,9 @@ from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
 from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, GaussianProfile, NoiseMode,
-                        build_model, eval_W, refine_path, sample_path)
-from snls.spectral import Field, Grid, lp_norm, quadrature
+                        build_model, eval_W, refine_path, sample_path, step_dW)
+from snls.spectral import (TINY_MODULUS, Field, Grid, boundary_ratio, h1_norm, lp_norm,
+                           quadrature)
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -120,6 +121,33 @@ class TestGuardedPower:
         out = guarded_abs_power(np.array([r + 0j]), expo)
         assert out[0] == pytest.approx(r ** expo, rel=1e-12)
 
+    @staticmethod
+    def _random(seed, size=4096):
+        rng = np.random.default_rng(seed)
+        v = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) * 10.0 ** rng.uniform(
+            -3.0, 3.0, size)
+        v[::7] *= 1e-155                 # below the underflow guard
+        v[::11] = 0.0
+        return v
+
+    @pytest.mark.parametrize("expo", [2.0, 4.0, 6.0])
+    def test_even_powers_match_general_formula(self, expo):
+        v = self._random(1)[np.abs(self._random(1)) > 1e-6]
+        want = np.abs(v) ** expo
+        assert np.max(np.abs(guarded_abs_power(v, expo) - want) / want) <= 2e-15
+
+    @pytest.mark.parametrize("expo", [0.0, 0.5, 4.0 / 3.0, 2.5, -1.5])
+    def test_other_powers_keep_the_guarded_formula(self, expo):
+        # bit-identical to exp(expo log|v|) on the masked entries and +0 elsewhere
+        v = self._random(2)
+        r = np.abs(v)
+        want = np.zeros_like(r)
+        mask = r >= TINY_MODULUS
+        want[mask] = np.exp(expo * np.log(r[mask]))
+        got = guarded_abs_power(v, expo)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[::7] == 0.0) and not np.signbit(got).any()
+
 
 class TestStepDirect:
     def test_scalar_sde_closed_form(self):
@@ -208,6 +236,59 @@ class TestSolveDirect:
         assert np.max(np.abs(back - u)) <= 1e-10
 
 
+def strang_reference(x, path, spec):
+    """The two-factor Strang step as a loop of single fields: each half-phase
+    computes its own factor from the state it multiplies."""
+    grid, dt = spec.grid, path.dt
+    lin = np.exp(1j * grid.k_squared * dt)
+    damp = spec.model.damping * dt
+
+    def half_phase(v):
+        return v * np.exp(-0.5j * spec.lam * dt * np.abs(v) ** (spec.alpha - 1.0))
+
+    states = [x.values]
+    for i in range(path.n_steps):
+        v = np.fft.ifftn(lin * np.fft.fftn(half_phase(states[-1])))
+        states.append(half_phase(v * np.exp(step_dW(spec.model, path, i) - damp)))
+    return [Field(grid, v) for v in states]
+
+
+class TestCarriedPhase:
+    """The direct stepper keeps each step's trailing half-phase factor as the
+    next step's leading one."""
+
+    @pytest.mark.parametrize("alpha", [3.0, 7.0 / 3.0])
+    def test_phase_flow_is_exact(self, alpha):
+        # nonlinear substep alone: X(T) = x exp(-i lam |x|^{alpha-1} T)
+        spec = det_spec(alpha=alpha, lam=1, T=0.5)
+        path = sample_path(spec.model, 0.5, 500, seed=0)
+        x = Field(GRID, gaussian(amp=1.5).values * np.exp(0.3j * XI))
+        opts = SolveOptions(stride=500, flags=StepFlags(linear=False, noise=False))
+        got = solve_direct(x, path, spec, opts).snapshots[-1].values
+        want = x.values * np.exp(-1j * np.abs(x.values) ** (alpha - 1.0) * 0.5)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_matches_two_factor_strang_reference(self):
+        # the ensemble-1d benchmark problem, one path over 1000 steps
+        grid = Grid(1, 256, 32.0)
+        model = build_model([NoiseMode(1.0, GaussianProfile(1.0, 4.0, (0, 0, 0)))], grid)
+        spec = ProblemSpec(grid, model, 3.0, -1, 0.5)
+        path = sample_path(model, 0.5, 1000, seed=3)
+        traj = solve_direct(gaussian(grid), path, spec, SolveOptions(record_snapshots=False))
+        states = strang_reference(gaussian(grid), path, spec)
+        want = {"mass": [mass(u) for u in states],
+                "hamiltonian": [hamiltonian(u, 3.0, -1) for u in states],
+                "h1": [h1_norm(u) for u in states],
+                "lp": [lp_norm(u, 4.0) for u in states]}
+        for name, series in want.items():
+            series = np.array(series)
+            err = np.max(np.abs(traj.diagnostic(name) - series))
+            assert err <= 1e-13 * np.max(np.abs(series)), name
+        # the boundary ratio is already relative to the peak modulus
+        ratios = np.array([boundary_ratio(u) for u in states])
+        assert np.max(np.abs(traj.diagnostic("boundary") - ratios)) <= 1e-13
+
+
 class TestSolveBlock:
     @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
     @pytest.mark.parametrize("mus", [(1.0,), (0.6 + 0.5j,), (1.0, 0.4, 0.3)])
@@ -233,6 +314,23 @@ class TestSolveBlock:
                 assert np.array_equal(got.diagnostic(name), want.diagnostic(name))
             for a, b in zip(got.snapshots, want.snapshots):
                 assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    def test_block_invariance_at_the_elision_size(self, scheme):
+        # one (1, 128, 128) complex row is 256 KiB, the size at which NumPy
+        # may evaluate `a * tmp` in place as `tmp *= a`
+        grid = Grid(2, 128, 24.0)
+        model = build_model([NoiseMode(0.8 + 0.4j, GaussianProfile(1.0, 3.0, (0, 0, 0)))], grid)
+        spec = ProblemSpec(grid, model, 3.0, -1, 5e-3)
+        paths = [sample_path(model, 5e-3, 5, seed=7, path_id=i) for i in range(2)]
+        opts = SolveOptions(stride=1)
+        block = solve_block(gaussian(grid), paths, spec, opts, scheme)
+        for path, got in zip(paths, block):
+            want = solve_block(gaussian(grid), [path], spec, opts, scheme)[0]
+            for name in want.diagnostics:
+                assert got.diagnostic(name).tobytes() == want.diagnostic(name).tobytes()
+            for a, b in zip(got.snapshots, want.snapshots):
+                assert a.values.tobytes() == b.values.tobytes()
 
     def test_paths_must_share_a_time_grid(self):
         spec = det_spec(T=0.5)
@@ -298,6 +396,23 @@ class TestChunkInvariance:
                     assert a.diagnostic(name).tobytes() == b.diagnostic(name).tobytes()
                 for p, q in zip(a.snapshots, b.snapshots):
                     assert p.values.tobytes() == q.values.tobytes()
+
+
+    def test_a_stopped_path_stays_zero(self, monkeypatch):
+        # its kept phase factor is reset with it: a NaN factor would turn 0 into NaN
+        spec, x, paths, opts, _ = chunk_case("non-finite")
+        diag_rows, stacks = snls.dynamics._diag_rows, []
+
+        def recording(grid, v, *args):
+            stacks.append(v.copy())
+            return diag_rows(grid, v, *args)
+
+        monkeypatch.setattr(snls.dynamics, "_diag_rows", recording)
+        monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", len(paths) * GRID.n)
+        first = solve_block(x, paths, spec, opts)[0]
+        stop = len(first.times) - 1     # stacks[i] holds the states after step i
+        assert first.status.kind == "numeric-failure" and stop + 1 < len(stacks)
+        assert np.all(np.concatenate(stacks[stop + 1:])[:, 0] == 0.0)
 
 
 class TestRescaledCoefficients:
