@@ -398,7 +398,6 @@ class TestChunkInvariance:
                 for p, q in zip(a.snapshots, b.snapshots):
                     assert p.values.tobytes() == q.values.tobytes()
 
-
     def test_a_stopped_path_stays_zero(self, monkeypatch):
         # its kept phase factor is reset with it: a NaN factor would turn 0 into NaN
         spec, x, paths, opts, _ = chunk_case("non-finite")
