@@ -194,9 +194,10 @@ def _critical_spacetime_exponent(d: int) -> float:
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
     """Diagnostics of each row of a (..., *grid.shape) block, one array each."""
-    m = quadrature(grid, guarded_abs_power(v, 2.0))
+    s = guarded_abs_power(v, 2.0)   # |v|^2, reused by the even powers below
+    m = quadrature(grid, s)
     grad2 = grad_sq_norms(grid, v)
-    lp_p = quadrature(grid, guarded_abs_power(v, alpha + 1.0))
+    lp_p = quadrature(grid, guarded_abs_power(v, alpha + 1.0, s))
     row = {
         "mass": m,
         "hamiltonian": 0.5 * grad2 - (lam / (alpha + 1.0)) * lp_p,
@@ -204,7 +205,7 @@ def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
         "lp": lp_p ** (1.0 / (alpha + 1.0)),
     }
     if q1 is not None:
-        row["lq1_pow"] = quadrature(grid, guarded_abs_power(v, q1))
+        row["lq1_pow"] = quadrature(grid, guarded_abs_power(v, q1, s))
     row["boundary"] = boundary_ratios(grid, np.abs(v))
     return row
 
@@ -228,19 +229,19 @@ class BlowupMonitor:
             base = np.maximum(initial["lq1_pow"], 1.0)
             self.spacetime_cap = thresholds.spacetime_factor * base * spec.T
 
-    def scan(self, dt: float, rows: dict, failed: np.ndarray) -> dict:
+    def scan(self, dt: float, rows: dict, failed: np.ndarray, live=slice(None)) -> dict:
         """Feed the diagnostics rows of a run of steps, (k, B) arrays in time
-        order, with the (k, B) mask of failed (non-finite) states.  Returns
-        {path index: (row, kind, reason)} of each path's first event; a
-        failure beats a crossing in the same row."""
-        h1_hit = self.h1_watched & (rows["h1"] > self.h1_cap)
+        order, with the (k, B) mask of failed (non-finite) states; column b
+        is path live[b].  Returns {column: (row, kind, reason)} of each
+        path's first event; a failure beats a crossing in the same row."""
+        h1_hit = self.h1_watched[live] & (rows["h1"] > self.h1_cap[live])
         hit = h1_hit | failed
         if self.critical:
             # one sequential sum from the carried value, as adding row by row does
-            acc = np.add.accumulate(np.concatenate([self.accumulator[None],
+            acc = np.add.accumulate(np.concatenate([self.accumulator[None, live],
                                                     rows["lq1_pow"] * dt]))
-            self.accumulator = acc[-1]
-            hit = hit | (acc[1:] > self.spacetime_cap)
+            self.accumulator[live] = acc[-1]
+            hit = hit | (acc[1:] > self.spacetime_cap[live])
         events = {}
         for b in np.flatnonzero(hit.any(axis=0)).tolist():
             j = int(hit[:, b].argmax())
@@ -277,9 +278,9 @@ def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
 # SIMD complex multiply is not bit-commutative.
 
 BLOCK_POINTS = 8192
-"""Grid points in one stack of states: paths per block times steps per chunk.
-32 paths on a 256-point line share each step's Python overhead, and a complex
-stack stays at 128 KiB, below the size at which NumPy reorders products."""
+"""Grid points in one stack of states: paths per block times steps per chunk
+(128 KiB complex), and the path-block bound of solvers that keep trajectories.
+Bits do not depend on it: the fixed operand order above holds at any size."""
 
 
 def chunk_steps(n_paths: int, grid: Grid) -> int:
@@ -303,6 +304,7 @@ class _Stepper:
     arrays the steps use, each reshaped to a leading axis of k steps."""
 
     phase = None   # the direct scheme's kept half-phase factor, one row per path
+    rows = slice(None)   # the paths still in the block, as indices into `paths`
 
     def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int):
         self.spec, self.flags, self.grid, self.chunk = spec, flags, spec.grid, chunk
@@ -313,7 +315,7 @@ class _Stepper:
     def _path_rows(self, t_index: int) -> list:
         if not self._start <= t_index < self._stop:
             self._start, self._stop = t_index, min(t_index + self.chunk, self.n_steps)
-            coeffs = self.coeffs[self._start:self._stop]
+            coeffs = self.coeffs[self._start:self._stop, self.rows]
             fields = _mode_sum(coeffs.reshape(-1, coeffs.shape[-1]), self.fields)
             self._arrays = [a.reshape(len(coeffs), -1, *a.shape[1:])
                             for a in self._path_chunk(fields)]
@@ -342,10 +344,14 @@ class _DirectStepper(_Stepper):
         return [np.exp(dW - self.damp_dt)]
 
     def _phase(self, v: np.ndarray) -> np.ndarray:
-        """exp(-i lam |v|^{alpha-1} dt/2).  The phase flow keeps |v|, so a
-        step's trailing factor is kept as the next step's leading one."""
-        power = guarded_abs_power(v, self.spec.alpha - 1.0)
-        return np.exp(-1j * self.spec.lam * power * (0.5 * self.dt))
+        """exp(-i lam |v|^{alpha-1} dt/2), as cos + i sin with the complex exp's bits.
+        The phase flow keeps |v|, so a step's trailing factor is the next step's leading one."""
+        theta = guarded_abs_power(v, self.spec.alpha - 1.0) * (0.5 * self.spec.lam * self.dt)
+        np.subtract(0.0, theta, out=theta)   # the negated angle, +0 at 0 as exp's form had
+        out = np.empty(theta.shape, dtype=np.complex128)
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        return out
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
         if self.flags.nonlinear:
@@ -460,7 +466,7 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     and stop index.  Steps run in chunks of chunk_steps(B, grid): the finite
     check and the diagnostics of a chunk's stacked states run once, and their
     rows pass through the blowup monitor in time order.  A path stops at its
-    first event; later rows are dropped and the path is zeroed."""
+    first event; later rows are dropped and its row leaves the block."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -482,38 +488,40 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     monitor = BlowupMonitor(spec, options.thresholds, row)
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
-    active = np.ones(n_paths, dtype=bool)
+    live = np.arange(n_paths)   # the path of each row of the block
 
     # a path's state may overflow before its non-finite row stops it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, chunk):
             k = min(chunk, n_steps - start)
-            states = np.empty((k, n_paths, *grid.shape), dtype=np.complex128)
+            states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
             for j in range(k):
                 v = states[j] = stepper.step(v, start + j)
             rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
-            failed = ~np.isfinite(states).reshape(k, n_paths, -1).all(axis=2)
+            failed = ~np.isfinite(states).reshape(k, len(live), -1).all(axis=2)
             if failed.any():
                 for r in rows.values():
                     r[failed] = np.nan
             for key, r in rows.items():
-                series[key][:, start + 1:start + k + 1] = r.T
-            events = monitor.scan(stepper.dt, rows, failed)
+                series[key][live, start + 1:start + k + 1] = r.T
+            events = monitor.scan(stepper.dt, rows, failed, live)
             if options.record_snapshots:
                 due = [j for j in range(k) if (start + j + 1) % options.stride == 0]
-                for b in np.flatnonzero(active):
-                    stop, kind, _ = events.get(b, (k, None, None))
+                for row, b in enumerate(live):
+                    stop, kind, _ = events.get(row, (k, None, None))
                     kept = [j for j in due if j < stop] + ([stop] if kind == "blowup" else [])
-                    snaps[b] += [(start + j + 1, states[j, b].copy()) for j in kept]
-            for b, (stop, kind, reason) in events.items():
-                if active[b]:
-                    last[b], active[b] = start + stop + 1, False
-                    statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
-                    v[b] = 0.0
-                    if stepper.phase is not None:   # a NaN factor would turn 0 into NaN
-                        stepper.phase[b] = 1.0
-            if not active.any():
-                break
+                    snaps[b] += [(start + j + 1, states[j, row].copy()) for j in kept]
+            for row, (stop, kind, reason) in events.items():
+                b = live[row]
+                last[b] = start + stop + 1
+                statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
+            if events:   # a stopped path's row leaves the block
+                keep = [row for row in range(len(live)) if row not in events]
+                if not keep:
+                    break
+                live, v, stepper.rows = live[keep], v[keep], live[keep]
+                if stepper.phase is not None:
+                    stepper.phase = stepper.phase[keep]
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
                        {k: s[b, :last[b] + 1] for k, s in series.items()},
                        [i for i, _ in snaps[b]], [Field(grid, a) for _, a in snaps[b]],

@@ -1,10 +1,10 @@
 """Ensemble execution and statistical verification.
 
 Paths are independent by construction (counter-based seeds keyed on the path
-index) and are solved in consecutive blocks whose sizes depend on the grid
-and the path count alone, so workers can run blocks in any order at any
-parallel width; the reduction is an ordered fold by path index and ensemble reports are
-bit-reproducible for a fixed (master seed, config).
+index) and are solved in consecutive blocks whose sizes depend on the grid,
+the path count and the parallel width, while a path's bits depend on neither
+its block nor its block-mates; the reduction is an ordered fold by path index
+and ensemble reports are bit-reproducible for a fixed (master seed, config).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (ProblemSpec, RegimeError, SolveOptions, chunk_steps, rescaled_to_X,
+from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
                        solve_block)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
@@ -28,9 +28,14 @@ from .noise import ladder_paths
 from .spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
 
 
-def block_size(grid: Grid) -> int:
-    """Paths per block: as many as one step's chunk of states holds."""
-    return chunk_steps(1, grid)
+ENSEMBLE_POINTS = 4 * BLOCK_POINTS
+"""Grid points of one step's states in a run_ensemble block, which keeps no
+trajectory: 512 KiB complex, 128 paths on a 256-point line sharing each call."""
+
+
+def block_size(grid: Grid, points: int = BLOCK_POINTS) -> int:
+    """Paths per block: one step's states fill `points` grid points (at least one)."""
+    return max(1, points // grid.n ** grid.d)
 
 
 @dataclass(frozen=True)
@@ -115,11 +120,11 @@ def _worker_block(ids):
 
 
 def _map_blocks(task, config: EnsembleConfig, block: int) -> list:
-    """task(ids) over the config's path ids in ceil(n_paths / block) consecutive
-    blocks whose sizes differ by at most one, in-process at width 1 or over a
-    pool; the per-path results in path order."""
+    """task(ids) over the config's path ids in max(ceil(n_paths / block), width)
+    consecutive blocks (at most n_paths) whose sizes differ by at most one,
+    in-process at width 1 or over a pool; the per-path results in path order."""
     n_paths, width = config.n_paths, ensemble_width(config)
-    n_blocks = -(-n_paths // block)
+    n_blocks = max(-(-n_paths // block), min(width, n_paths))
     blocks = [range(n_paths * j // n_blocks, n_paths * (j + 1) // n_blocks)
               for j in range(n_blocks)]
     if width == 1 or len(blocks) == 1:
@@ -144,7 +149,8 @@ def run_ensemble(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> Ensembl
     """Run n_paths independent paths; blowup paths are recorded, not fatal."""
     if config.n_paths < 1:
         raise ValueError("need at least one path")
-    results = _map_blocks(partial(_ensemble_block, x, spec, config), config, block_size(spec.grid))
+    results = _map_blocks(partial(_ensemble_block, x, spec, config), config,
+                          block_size(spec.grid, ENSEMBLE_POINTS))
     n_times = config.n_steps * 2 ** (config.levels - 1) + 1
     times = np.linspace(0.0, spec.T, n_times)
     per_path = {obs: np.vstack([r[0][obs] for r in results])

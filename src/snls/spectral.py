@@ -177,12 +177,12 @@ def quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
 TINY_MODULUS = 1e-150
 
 
-def guarded_abs_power(values: np.ndarray, expo: float) -> np.ndarray:
-    """|v|^expo.  For expo = 2, 4, 6, ... a product of re^2 + im^2; otherwise
-    exp(expo*log|v|), exactly zero below the underflow guard."""
+def guarded_abs_power(values: np.ndarray, expo: float, sq=None) -> np.ndarray:
+    """|v|^expo.  For expo = 2, 4, 6, ... a product of s = re^2 + im^2, or of
+    sq, an s already computed; otherwise exp(expo*log|v|), exactly zero below
+    the underflow guard."""
     if expo >= 2.0 and (expo / 2.0).is_integer():
-        s = values.real ** 2
-        s += values.imag ** 2
+        s = values.real ** 2 + values.imag ** 2 if sq is None else sq
         power = s
         for _ in range(int(expo) // 2 - 1):
             power = power * s

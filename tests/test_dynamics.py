@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, GaussianProfile, NoiseMode,
                         build_model, eval_W, refine_path, sample_path, step_dW)
-from snls.spectral import (TINY_MODULUS, Field, Grid, boundary_ratio, h1_norm, lp_norm,
-                           quadrature)
+from snls.spectral import (TINY_MODULUS, Field, Grid, NumericFailure, boundary_ratio,
+                           h1_norm, lp_norm, quadrature)
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -269,6 +270,48 @@ class TestCarriedPhase:
         want = x.values * np.exp(-1j * np.abs(x.values) ** (alpha - 1.0) * 0.5)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("alpha", [3.0, 7.0 / 3.0])
+    @pytest.mark.parametrize("lam", [1, -1])
+    @pytest.mark.parametrize("dt", [5e-4, 0.37])
+    def test_phase_factor_bits_match_the_complex_exp(self, alpha, lam, dt):
+        spec = det_spec(alpha=alpha, lam=lam, T=dt)
+        stepper = snls.dynamics._DirectStepper(spec, [sample_path(spec.model, dt, 1, seed=0)],
+                                               StepFlags())
+        rng = np.random.default_rng(3)
+        unit = np.exp(2j * np.pi * rng.random(512))
+        v = np.concatenate([
+            np.zeros(4, dtype=complex), [-0.0 + 0.0j, 0.0 - 0.0j],
+            unit[:64] * TINY_MODULUS * 10.0 ** rng.uniform(-10.0, 0.0, 64),   # below the guard
+            unit[64:256] * rng.uniform(0.0, 3.0, 192),                       # O(1) moduli
+            unit[256:] * 10.0 ** rng.uniform(2.0, 6.0, 256)])                # |theta| >> 2 pi
+        power = guarded_abs_power(v, alpha - 1.0)
+        assert np.max(power) * 0.5 * dt > 100.0 * np.pi
+        want = np.exp(-1j * lam * power * (0.5 * dt))
+        assert stepper._phase(v).view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    @pytest.mark.parametrize("alpha", [3.0, 2.5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state(self, alpha, bad):
+        # NaN passes through quietly; an infinite modulus gives two "invalid
+        # value" warnings from the phase (as the complex exp form did), and
+        # the first is an error under the snls warning rule
+        model = build_model([NoiseMode(1.0, GaussianProfile(1.0, 3.0, (0, 0, 0)))], GRID)
+        spec = ProblemSpec(GRID, model, alpha, 1, 0.1)
+        path = sample_path(model, 0.1, 10, seed=1)
+        v = gaussian().values.copy()
+        v[3] = bad
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericFailure):
+                step_direct(Field(GRID, v), 0, path, spec)
+        messages = [str(w.message) for w in seen if w.category is RuntimeWarning]
+        assert len(messages) == 2 * (bad == np.inf)
+        assert all(m.startswith("invalid value encountered") for m in messages)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", category=RuntimeWarning, module=r"snls\..*")
+            with pytest.raises(RuntimeWarning if bad == np.inf else NumericFailure):
+                step_direct(Field(GRID, v), 0, path, spec)
+
     def test_matches_two_factor_strang_reference(self):
         # the ensemble-1d benchmark problem, one path over 1000 steps
         grid = Grid(1, 256, 32.0)
@@ -398,8 +441,10 @@ class TestChunkInvariance:
                 for p, q in zip(a.snapshots, b.snapshots):
                     assert p.values.tobytes() == q.values.tobytes()
 
-    def test_a_stopped_path_stays_zero(self, monkeypatch):
-        # its kept phase factor is reset with it: a NaN factor would turn 0 into NaN
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    def test_a_stopped_path_leaves_the_block(self, monkeypatch, scheme):
+        # with its kept phase row and its path coefficients; the survivor's
+        # bits are its single-path solve's
         spec, x, paths, opts, _ = chunk_case("non-finite")
         diag_rows, stacks = snls.dynamics._diag_rows, []
 
@@ -409,10 +454,16 @@ class TestChunkInvariance:
 
         monkeypatch.setattr(snls.dynamics, "_diag_rows", recording)
         monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", len(paths) * GRID.n)
-        first = solve_block(x, paths, spec, opts)[0]
+        first, second = solve_block(x, paths, spec, opts, scheme)
         stop = len(first.times) - 1     # stacks[i] holds the states after step i
         assert first.status.kind == "numeric-failure" and stop + 1 < len(stacks)
-        assert np.all(np.concatenate(stacks[stop + 1:])[:, 0] == 0.0)
+        assert [s.shape[-2] for s in stacks] == [2] * (stop + 1) + [1] * (len(stacks) - stop - 1)
+        solo = solve_block(x, paths[1:], spec, opts, scheme)[0]
+        assert second.status == solo.status and second.status.kind == "numeric-failure"
+        for name in solo.diagnostics:
+            assert second.diagnostic(name).tobytes() == solo.diagnostic(name).tobytes()
+        for p, q in zip(second.snapshots, solo.snapshots, strict=True):
+            assert p.values.tobytes() == q.values.tobytes()
 
 
 class TestRescaledCoefficients:

@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import snls.montecarlo
 from snls.dynamics import (BlowupThresholds, ProblemSpec, RegimeError,
                            SolveOptions, StepFlags, rescaled_to_X, solve_direct,
                            solve_rescaled)
 from snls.identities import (h1_identity, hamiltonian_identity, lp_identity,
                              mass_identity)
-from snls.montecarlo import (EnsembleConfig, block_size, continuity_probe,
-                             convergence_order, estimate_mass_bias,
+from snls.montecarlo import (ENSEMBLE_POINTS, EnsembleConfig, _map_blocks, block_size,
+                             continuity_probe, convergence_order, estimate_mass_bias,
                              identity_ladder, martingale_test, moment_monitor,
                              run_ensemble)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
@@ -131,6 +132,60 @@ class TestBlocks:
         for obs in serial.per_path:
             assert np.array_equal(serial.per_path[obs], parallel.per_path[obs],
                                   equal_nan=True)
+
+    def test_every_worker_gets_a_block(self):
+        config = EnsembleConfig(n_paths=5, seed=0, n_steps=1, width=2)
+        assert _map_blocks(block_bounds, config, 100) == [(0, 2)] * 2 + [(2, 5)] * 3
+        assert _map_blocks(block_bounds, replace(config, width=8), 100) == [
+            (i, i + 1) for i in range(5)]
+        assert _map_blocks(block_bounds, replace(config, width=1), 2) == [
+            (0, 1), (1, 3), (1, 3), (3, 5), (3, 5)]
+
+    def test_one_block_bit_identical_at_widths_1_and_2(self):
+        # the paths fit one block, so width 2 splits them into two
+        spec = spec_with_mode(0.6 + 0.5j, T=0.05)
+        x = gaussian()
+        config = EnsembleConfig(n_paths=6, seed=4, n_steps=20, levels=2, width=1)
+        assert config.n_paths < block_size(GRID) < block_size(GRID, ENSEMBLE_POINTS)
+        runs = [run_ensemble(x, spec, replace(config, width=w, options=NOSNAP))
+                for w in (1, 2)]
+        assert runs[0].statuses == runs[1].statuses
+        for obs in runs[0].per_path:
+            assert runs[0].per_path[obs].tobytes() == runs[1].per_path[obs].tobytes()
+        ladders = [identity_ladder(x, spec, replace(config, width=w)) for w in (1, 2)]
+        for name in ladders[0].terminal:
+            assert ladders[0].terminal[name].tobytes() == ladders[1].terminal[name].tobytes()
+            assert ladders[0].sup[name].tobytes() == ladders[1].sup[name].tobytes()
+        assert ladders[0].boundary_max == ladders[1].boundary_max
+
+    @pytest.mark.parametrize("mu", [1.0 + 0j, 0.6 + 0.5j])
+    def test_wide_ensemble_block_matches_solo_solves(self, monkeypatch, mu):
+        # one block of 128 paths on a 256-point line is a 512 KiB complex
+        # state, above the 256 KiB at which NumPy may evaluate `a * tmp` in
+        # place as `tmp *= a`
+        grid = Grid(1, 256, 32.0)
+        spec = spec_with_mode(mu, T=0.02, grid=grid)
+        x = gaussian(grid=grid)
+        config = EnsembleConfig(n_paths=block_size(grid, ENSEMBLE_POINTS), seed=8, n_steps=20,
+                                width=1, observables=("mass", "hamiltonian", "h1", "lp",
+                                                      "boundary"), options=NOSNAP)
+        assert config.n_paths == 128
+        wide = run_ensemble(x, spec, config)
+        for pid, status in enumerate(wide.statuses):
+            path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
+            solo = solve_direct(x, path, spec, NOSNAP)
+            assert status == solo.status == wide.statuses[0]
+            for obs in config.observables:
+                assert wide.per_path[obs][pid].tobytes() == solo.diagnostic(obs).tobytes()
+        monkeypatch.setattr(snls.montecarlo, "ENSEMBLE_POINTS", 8192)   # blocks of 32
+        narrow = run_ensemble(x, spec, config)
+        for obs in config.observables:
+            assert wide.per_path[obs].tobytes() == narrow.per_path[obs].tobytes()
+
+
+def block_bounds(ids):
+    """Each path's block, as (first id, end id)."""
+    return [(ids.start, ids.stop)] * len(ids)
 
 
 class TestMartingale:
