@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, WienerPath, eval_W
+from .noise import NoiseModel, WienerPath, _mode_row, _mode_sum, eval_W
 from .spectral import (Field, Grid, boundary_ratios, fft_trailing, grad_sq_norms,
                        guarded_abs_power, quadrature)
 from .functionals import energy_critical_alpha, mass_critical_alpha
@@ -288,20 +288,11 @@ def chunk_steps(n_paths: int, grid: Grid) -> int:
     return max(1, BLOCK_POINTS // (n_paths * grid.n ** grid.d))
 
 
-def _mode_sum(coeffs: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """sum_j coeffs[:, j] fields[j] for (B, N) coefficients: a (B, *shape)
-    block, summed mode by mode (a BLAS contraction's rounding depends on B)."""
-    out = np.multiply.outer(coeffs[:, 0], fields[0])
-    for j in range(1, fields.shape[0]):
-        out += np.multiply.outer(coeffs[:, j], fields[j])
-    return out
-
-
 class _Stepper:
     """The work that needs only the Brownian paths runs for `chunk` steps at
-    a time: the fields sum_j coeffs[t, b, j] fields[j] of the chunk's steps
-    are one (k*B, *grid.shape) stack of rows, and _path_chunk maps it to the
-    arrays the steps use, each reshaped to a leading axis of k steps."""
+    a time: the mode sums sum_j coeffs[t, b, j] fields[j] of the chunk's steps
+    are one stack of k*B rows, and _path_chunk maps it to the arrays the steps
+    use, each reshaped to a leading axis of k steps."""
 
     phase = None   # the direct scheme's kept half-phase factor, one row per path
     rows = slice(None)   # the paths still in the block, as indices into `paths`
@@ -375,22 +366,17 @@ def step_direct(state: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
     return Field(state.grid, stepper.step(state.values[None], t_index)[0]).check_finite()
 
 
-def _coefficient_arrays(model: NoiseModel, W: np.ndarray):
-    """grad W (one array per axis) and c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde),
-    for W of shape (..., *grid.shape)."""
-    grid = model.grid
-    what = fft_trailing(W, grid.d)
-    grads = [fft_trailing(1j * km * what, grid.d, inverse=True) for km in grid.k_meshes]
-    c = fft_trailing(-grid.k_squared * what, grid.d, inverse=True) - 1j * model.damping
-    for g in grads:
-        c = c + g * g
-    return grads, c
+def _coefficient_arrays(model: NoiseModel, sums: np.ndarray):
+    """W, grad W (one array per axis) and c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde)
+    from mode sums over model.derivative_stack, of shape (..., d+2, *grid.shape)."""
+    W, *grads, lap = np.moveaxis(sums, -model.grid.d - 1, 0)
+    return W, grads, sum((g * g for g in grads), lap - 1j * model.damping)
 
 
 def rescaled_coefficients(model: NoiseModel, path: WienerPath, t_index: int):
-    """Operator coefficients at t_i: b = 2 grad W and
-    c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde)."""
-    grads, c = _coefficient_arrays(model, eval_W(model, path, t_index).values)
+    """Operator coefficients at t_i, 0 <= t_index <= n_steps: b = 2 grad W and
+    c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde), from mode sums of grad phi_j, Lap phi_j."""
+    _, grads, c = _coefficient_arrays(model, _mode_row(path.betas, model.derivative_stack, t_index))
     return [Field(model.grid, 2.0 * g) for g in grads], Field(model.grid, c)
 
 
@@ -405,13 +391,13 @@ class _RescaledStepper(_Stepper):
                 f"dt*max|k|^2 = {dt * grid.k_max ** 2:.3f} exceeds "
                 f"{CFL_BOUND * CFL_SAFETY:.2f}; refine dt or coarsen the grid")
         if self.has_noise:
-            self.fields = spec.model.phi_stack
+            self.fields = spec.model.derivative_stack
             self.coeffs = np.stack([p.betas for p in paths], axis=1)
 
-    def _path_chunk(self, W: np.ndarray) -> list:
+    def _path_chunk(self, sums: np.ndarray) -> list:
         """b = 2 grad W (one array per axis), c and the envelope e^{(a-1)Re W},
-        frozen at the step's left endpoint."""
-        grads, c = _coefficient_arrays(self.spec.model, W)
+        frozen at the step's left endpoint, from one mode sum of W and its derivatives."""
+        W, grads, c = _coefficient_arrays(self.spec.model, sums)
         return [2.0 * g for g in grads] + [c, np.exp((self.spec.alpha - 1.0) * W.real)]
 
     def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
@@ -603,8 +589,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
     if K < 1 or K > path.n_steps:
         raise ValueError(f"window tau={tau} not representable on the path grid")
 
-    lin_flags = StepFlags(nonlinear=False, noise=spec.model.n_modes > 0)
-    stepper = _RescaledStepper(spec, [path], lin_flags)
+    stepper = _RescaledStepper(spec, [path], StepFlags(nonlinear=False))
     trace = []
 
     while True:
@@ -614,9 +599,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
         u[0] = x.values
         for i in range(K):
             u[i + 1] = stepper.step(u[i:i + 1], i)[0]
-        envs = 1.0 if spec.model.n_modes == 0 else np.exp(
-            (spec.alpha - 1.0) * np.stack([eval_W(spec.model, path, i).values.real
-                                           for i in range(K + 1)]))
+        envs = np.exp((spec.alpha - 1.0) * _mode_sum(path.betas[:K + 1], spec.model.phi_stack).real)
 
         y = u.copy()
         distances = []

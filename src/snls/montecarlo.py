@@ -265,6 +265,11 @@ class ConvergenceReport:
         yield f"convergence_inconclusive={str(self.inconclusive).lower()}"
 
 
+def _as_X(traj, path, spec: ProblemSpec, config: EnsembleConfig) -> list:
+    """traj's snapshots as X, which every check measures (rescaled ones hold y = e^{-W} X)."""
+    return rescaled_to_X(traj, path, spec.model) if config.scheme == "rescaled" else traj.snapshots
+
+
 def _terminal_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                     sup_over_time: bool, ids) -> list:
     """Per path, its stacked states at each level, or None if it did not
@@ -280,7 +285,7 @@ def _terminal_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
             if traj.status.kind != "finished":
                 finals[b] = None
             elif finals[b] is not None:
-                finals[b].append(np.stack([s.values for s in traj.snapshots]))
+                finals[b].append(np.stack([s.values for s in _as_X(traj, paths[b], spec, config)]))
     return finals
 
 
@@ -346,8 +351,7 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
             traj, trajs[b] = trajs[b], None    # free each trajectory once checked
             if traj.status.kind == "numeric-failure":   # its non-finite last state has no snapshot
                 traj = replace(traj, times=traj.times[:len(traj.snapshots)])
-            if config.scheme == "rescaled":   # the identities hold for X = e^W y, not for y
-                traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
+            traj = replace(traj, snapshots=_as_X(traj, path, spec, config))
             boundary[b, level] = max(boundary_ratio(snap) for snap in traj.snapshots)
             statuses[b, level] = traj.status.kind
             reports = {name: fn(traj, path, spec.model, spec)
@@ -398,8 +402,9 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
             run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"
             raise RegimeError(f"continuity probe: {run} run ended with {traj.status.kind}")
     v_h1 = h1_norm(direction)
-    return [[max(h1_norm(p - q) for p, q in zip(traj.snapshots, trajs[a].snapshots))
-             / (d * v_h1) for d, traj in zip(deltas, trajs[a + 1:a + len(starts)])]
+    X = [_as_X(traj, path, spec, config) for traj, path in zip(trajs, paths)]
+    return [[max(h1_norm(p - q) for p, q in zip(snaps, X[a])) / (d * v_h1)
+             for d, snaps in zip(deltas, X[a + 1:a + len(starts)])]
             for a in range(0, len(trajs), len(starts))]
 
 

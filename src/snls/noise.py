@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Field, Grid
+from .spectral import Field, Grid, fft_trailing
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +94,17 @@ class NoiseModel:
 
     @cached_property
     def phi_stack(self) -> np.ndarray:
-        """(N, *grid.shape) complex stack for fast W evaluation."""
-        if not self.phi_fields:
-            return np.zeros((0,) + self.grid.shape, dtype=np.complex128)
-        return np.stack(self.phi_fields)
+        """(N, *grid.shape) complex stack of the phi_j."""
+        return np.array(self.phi_fields, dtype=np.complex128).reshape(-1, *self.grid.shape)
+
+    @cached_property
+    def derivative_stack(self) -> np.ndarray:
+        """(N, d+2, *grid.shape): phi_j, d_1 phi_j ... d_d phi_j and Lap phi_j, transformed on
+        first use (direct runs never need it); W, grad W and Lap W are one mode sum of it."""
+        grid, what = self.grid, fft_trailing(self.phi_stack, self.grid.d)
+        symbols = [1j * km for km in grid.k_meshes] + [-grid.k_squared]
+        return np.stack([self.phi_stack] + [fft_trailing(s * what, grid.d, inverse=True)
+                                            for s in symbols], axis=1)
 
     @cached_property
     def damping(self) -> np.ndarray:
@@ -219,18 +226,29 @@ def ladder_paths(model: NoiseModel, T: float, n_steps: int, seed: int,
         yield paths
 
 
+def _mode_sum(coeffs: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """The package's only sum_j coeffs[:, j] fields[j], for (B, N) coefficients: a (B, ...)
+    block, zeros when N = 0, summed mode by mode (a BLAS contraction's rounding depends on B)."""
+    if not len(fields):
+        return np.zeros((len(coeffs), *fields.shape[1:]), dtype=fields.dtype)
+    out = np.multiply.outer(coeffs[:, 0], fields[0])
+    for j in range(1, fields.shape[0]):
+        out += np.multiply.outer(coeffs[:, j], fields[j])
+    return out
+
+
+def _mode_row(rows: np.ndarray, fields: np.ndarray, t_index: int) -> np.ndarray:
+    """Row t_index of the mode sum of a path's rows; IndexError outside them, if negative too."""
+    if not 0 <= t_index < len(rows):
+        raise IndexError(f"t_index {t_index} outside path grid [0, {len(rows) - 1}]")
+    return _mode_sum(rows[t_index:t_index + 1], fields)[0]
+
+
 def eval_W(model: NoiseModel, path: WienerPath, t_index: int) -> Field:
-    """W(t_i, .) = sum_j phi_j beta_j(t_i) as a complex Field."""
-    if not 0 <= t_index <= path.n_steps:
-        raise IndexError(f"t_index {t_index} outside path grid [0, {path.n_steps}]")
-    if model.n_modes == 0:
-        return Field(model.grid, np.zeros(model.grid.shape, dtype=np.complex128))
-    vals = np.tensordot(path.betas[t_index], model.phi_stack, axes=1)
-    return Field(model.grid, vals)
+    """W(t_i, .) = sum_j phi_j beta_j(t_i), 0 <= t_index <= n_steps, as a complex Field."""
+    return Field(model.grid, _mode_row(path.betas, model.phi_stack, t_index))
 
 
 def step_dW(model: NoiseModel, path: WienerPath, t_index: int) -> np.ndarray:
-    """Increment field sum_j phi_j dbeta_j over step t_index (raw array)."""
-    if model.n_modes == 0:
-        return np.zeros(model.grid.shape, dtype=np.complex128)
-    return np.tensordot(path.increments[t_index], model.phi_stack, axes=1)
+    """Increment field sum_j phi_j dbeta_j over step 0 <= t_index < n_steps (raw array)."""
+    return _mode_row(path.increments, model.phi_stack, t_index)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
                            transform)
 from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
-from snls.noise import (ConstantProfile, GaussianProfile, NoiseMode,
+from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
                         build_model, eval_W, refine_path, sample_path, step_dW)
 from snls.spectral import (TINY_MODULUS, Field, Grid, NumericFailure, boundary_ratio,
                            h1_norm, lp_norm, quadrature)
@@ -484,17 +485,32 @@ class TestRescaledCoefficients:
                 assert np.max(np.abs(comp.values)) <= 1e-13
             assert np.max(np.abs(c.values + 1j * model.damping)) <= 1e-12
 
-    def test_conservative_damping_free(self):
-        model = build_model([NoiseMode(0.8j, GaussianProfile(1.0, 3.0, (0, 0, 0)))], GRID)
+    MODES = {
+        "imaginary": [NoiseMode(0.8j, GaussianProfile(1.0, 3.0, (0, 0, 0)))],
+        "real": [NoiseMode(1.0, GaussianProfile(1.0, 3.0, (0, 0, 0)))],
+        "complex": [NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 3.0, (0, 0, 0)))],
+        "two": [NoiseMode(0.8j, GaussianProfile(1.0, 2.0, (1.0, -0.5, 0))),
+                NoiseMode(0.5 - 0.2j, CosineProfile(0.7, (2, 1, 0)))],
+    }
+
+    @pytest.mark.parametrize("modes", list(MODES))
+    @pytest.mark.parametrize("grid", [GRID, Grid(2, 32, 16.0)], ids=["d1", "d2"])
+    def test_conservative_damping_free(self, grid, modes):
+        # reference: transforms of W itself; the coefficients are mode sums of
+        # the transformed phi_j, so they agree to roundoff, relative to the
+        # largest entry; c carries no damping term for imaginary amplitudes
+        model = build_model(self.MODES[modes], grid)
         path = sample_path(model, 0.5, 20, seed=5)
-        grid = model.grid
         b, c = rescaled_coefficients(model, path, 10)
-        W = eval_W(model, path, 10).values
-        what = np.fft.fftn(W)
-        dW = np.fft.ifftn(1j * grid.k_meshes[0] * what)
-        lapW = np.fft.ifftn(-grid.k_squared * what)
-        expected = dW ** 2 + lapW
-        assert np.max(np.abs(c.values - expected)) <= 1e-13
+        what = np.fft.fftn(eval_W(model, path, 10).values)
+        grads = [np.fft.ifftn(1j * km * what) for km in grid.k_meshes]
+        expected = sum(g ** 2 for g in grads) + np.fft.ifftn(-grid.k_squared * what)
+        expected = expected - 1j * model.damping
+        assert len(b) == grid.d
+        for got, want in [(c.values, expected)] + [(ax.values / 2.0, g) for ax, g in zip(b, grads)]:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if model.conservative:
+            assert np.max(np.abs(c.values - expected)) <= 1e-13
 
 
 class TestStepRescaled:
@@ -583,6 +599,28 @@ class TestRescalingEquivalence:
                 path = refine_path(path)
         rates = [np.log2(sups[i] / sups[i + 1]) for i in range(2)]
         assert np.median(rates) >= 0.8
+
+
+class TestRescaledToXMemory:
+    def test_peak_is_its_output_plus_a_few_rows(self):
+        # a stride-1 trajectory converts one snapshot at a time: the peak may
+        # exceed the kept X rows by a few rows, never by a W stack of them all
+        grid = Grid(1, 256, 32.0)
+        model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 4.0, (0, 0, 0)))], grid)
+        spec = ProblemSpec(grid, model, 3.0, -1, 1.0)
+        path = sample_path(model, 1.0, 2000, seed=3)
+        traj = solve_rescaled(gaussian(grid), path, spec, SolveOptions(stride=1))
+        assert len(traj.snapshots) == 2001
+        path.betas    # the path caches its Brownian values: computed before tracing
+        row = grid.n * 16    # bytes of one complex snapshot
+        tracemalloc.start()
+        try:
+            Xs = rescaled_to_X(traj, path, model)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current >= len(Xs) * row
+        assert peak - current <= 4 * row
 
 
 class TestPropagator:

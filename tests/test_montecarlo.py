@@ -338,6 +338,28 @@ class TestConvergenceOrder:
         assert len(errs) == 5
         assert rep.errors == np.mean(errs, axis=0).tolist()
 
+    def test_rescaled_errors_are_of_X(self):
+        # reference: each path's terminal X = e^W y per level, solved alone
+        spec = spec_with_mode(0.6 + 0.5j)
+        config = EnsembleConfig(n_paths=3, seed=9, n_steps=50, levels=3, width=1,
+                                scheme="rescaled", options=NOSNAP)
+        rep = convergence_order(gaussian(), spec, config)
+        errs, y_errs = [], []
+        for pid in range(3):
+            path = sample_path(spec.model, spec.T, 50, 9, pid)
+            X, y = [], []
+            for level in range(3):
+                traj = solve_rescaled(gaussian(), path, spec, SolveOptions(stride=path.n_steps))
+                X.append(rescaled_to_X(traj, path, spec.model)[-1].values)
+                y.append(traj.snapshots[-1].values)
+                path = refine_path(path)
+            for out, finals in ((errs, X), (y_errs, y)):
+                out.append([float(np.sqrt(quadrature(GRID, np.abs(f - finals[-1]) ** 2)))
+                            for f in finals[:-1]])
+        assert rep.scheme == "rescaled" and rep.unfinished_paths == 0
+        assert rep.errors == np.mean(errs, axis=0).tolist()
+        assert rep.errors != np.mean(y_errs, axis=0).tolist()
+
     def test_no_finished_path_is_regime_error(self):
         spec = spec_with_mode(1.0 + 0j)
         config = EnsembleConfig(
@@ -418,16 +440,22 @@ class TestIdentityLadder:
 
 
 def hand_continuity_ratios(x, deltas, spec, config, direction):
-    """The serial reference: each path's base run, then each perturbed run."""
+    """The serial reference: each path's base run, then each perturbed run,
+    compared in X (X = e^W y for the rescaled scheme)."""
     solver = solve_direct if config.scheme == "direct" else solve_rescaled
+
+    def X(traj, path):
+        rescaled = config.scheme == "rescaled"
+        return rescaled_to_X(traj, path, spec.model) if rescaled else traj.snapshots
+
     ratios = np.zeros((config.n_paths, len(deltas)))
     for pid in range(config.n_paths):
         path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
-        base = solver(x, path, spec, SolveOptions(stride=1))
+        base = X(solver(x, path, spec, SolveOptions(stride=1)), path)
         for k, d in enumerate(deltas):
             pert = Field(x.grid, x.values + d * direction.values)
-            traj = solver(pert, path, spec, SolveOptions(stride=1))
-            sup = max(h1_norm(a - b) for a, b in zip(traj.snapshots, base.snapshots))
+            moved = X(solver(pert, path, spec, SolveOptions(stride=1)), path)
+            sup = max(h1_norm(a - b) for a, b in zip(moved, base))
             ratios[pid, k] = sup / (d * h1_norm(direction))
     return ratios
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from snls.dynamics import ProblemSpec, rescaled_coefficients, solve_direct
 from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile,
-                        NoiseMode, build_model, eval_W, refine_path,
+                        NoiseMode, _mode_sum, build_model, eval_W, refine_path,
                         sample_path, step_dW)
-from snls.spectral import Grid
+from snls.spectral import Field, Grid
 
 GRID = Grid(1, 64, 16.0)
 
@@ -154,11 +155,16 @@ class TestEvalW:
         expected = mu * path.betas[20, 0]
         assert np.max(np.abs(W.values - expected)) <= 1e-14
 
-    def test_index_out_of_range(self):
+    @pytest.mark.parametrize("index", ["negative", "past_end"])
+    @pytest.mark.parametrize("accessor,last", [(eval_W, 32), (step_dW, 31),
+                                               (rescaled_coefficients, 32)])
+    def test_index_out_of_range(self, accessor, last, index):
+        # step_dW has one row per step, W and the coefficients one per grid time
         model = single_mode_model(1.0)
         path = sample_path(model, 0.5, 32, seed=3)
+        accessor(model, path, last)
         with pytest.raises(IndexError):
-            eval_W(model, path, 33)
+            accessor(model, path, -1 if index == "negative" else last + 1)
 
     def test_step_dW_matches_beta_difference(self):
         model = single_mode_model(1.0 + 0.5j)
@@ -167,6 +173,44 @@ class TestEvalW:
         direct = step_dW(model, path, i)
         via_W = eval_W(model, path, i + 1).values - eval_W(model, path, i).values
         assert np.max(np.abs(direct - via_W)) <= 1e-13
+
+
+class TestModeSum:
+    MODELS = {
+        "real": [NoiseMode(1.0, GaussianProfile(1.0, 3.0, (0, 0, 0)))],
+        "complex": [NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 3.0, (0, 0, 0)))],
+        "two": [NoiseMode(0.8j, GaussianProfile(1.0, 3.0, (1.0, 0, 0))),
+                NoiseMode(0.5 - 0.2j, CosineProfile(0.7, (2, 0, 0)))],
+    }
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_accessors_are_rows_of_one_mode_sum(self, name):
+        # bit for bit: a row's bits do not depend on how many rows are summed
+        model = build_model(self.MODELS[name], GRID)
+        path = sample_path(model, 0.5, 32, seed=13)
+        W = _mode_sum(path.betas, model.phi_stack)
+        dW = _mode_sum(path.increments, model.phi_stack)
+        for i in (0, 1, 17, 31):
+            assert eval_W(model, path, i).values.tobytes() == W[i].tobytes()
+            assert step_dW(model, path, i).tobytes() == dW[i].tobytes()
+        assert eval_W(model, path, 32).values.tobytes() == W[32].tobytes()
+
+    def test_zero_modes_give_zeros(self):
+        model = build_model([], GRID)
+        path = sample_path(model, 0.5, 32, seed=3)
+        for values in (eval_W(model, path, 7).values, step_dW(model, path, 7)):
+            assert values.shape == GRID.shape and not np.any(values)
+        assert _mode_sum(path.betas, model.derivative_stack).shape == (33, 3) + GRID.shape
+
+    def test_direct_solve_leaves_derivative_stack_uncomputed(self):
+        model = single_mode_model(1.0)
+        spec = ProblemSpec(GRID, model, 3.0, -1, 0.1)
+        path = sample_path(model, 0.1, 20, seed=3)
+        x = Field(GRID, np.exp(-GRID.meshes[0] ** 2))
+        solve_direct(x, path, spec)
+        assert "derivative_stack" not in model.__dict__
+        rescaled_coefficients(model, path, 5)
+        assert "derivative_stack" in model.__dict__
 
 
 class TestNoiseFactorModulus:
