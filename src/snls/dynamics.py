@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, WienerPath, _mode_row, _mode_sum, eval_W
+from .noise import NoiseModel, WienerPath, _mode_row, _mode_sum
 from .spectral import (Field, Grid, boundary_ratios, fft_trailing, grad_sq_norms,
                        guarded_abs_power, quadrature)
 from .functionals import energy_critical_alpha, mass_critical_alpha
@@ -444,7 +444,7 @@ _STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
 
 def solve_block(x, paths: list, spec: ProblemSpec,
                 options: SolveOptions = SolveOptions(),
-                scheme: str = "direct") -> list:
+                scheme: str = "direct", consume=None) -> list:
     """Integrate one scheme along each of `paths` (one time grid), stepped as
     one block from x: one Field for every path, or a (B, *grid.shape) stack of
     one initial state per path.  One Trajectory per path (y-variables for the
@@ -452,7 +452,10 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     and stop index.  Steps run in chunks of chunk_steps(B, grid): the finite
     check and the diagnostics of a chunk's stacked states run once, and their
     rows pass through the blowup monitor in time order.  A path stops at its
-    first event; later rows are dropped and its row leaves the block."""
+    first event; later rows are dropped and its row leaves the block.
+    consume(start, states, live, kept), if given, sees row 0, then each chunk:
+    states[j, r] is path live[r] at time index start + j, and its first kept[r]
+    rows are kept, as snapshots are: those before its stop, and a blowup row."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -470,11 +473,20 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in row}
     for k, s in series.items():
         s[:, 0] = row[k]
-    snaps = [[(0, v[b].copy())] if options.record_snapshots else [] for b in range(n_paths)]
+    snaps = [[] for _ in paths]
     monitor = BlowupMonitor(spec, options.thresholds, row)
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
     live = np.arange(n_paths)   # the path of each row of the block
+
+    def record(start, states, live, kept):   # snapshots: the kept rows due by stride, a blowup row
+        for row, b in enumerate(live):
+            snaps[b] += [(i, states[i - start, row].copy()) for i in range(start, start + kept[row])
+                         if i % options.stride == 0 or i == last[b] and statuses[b].is_blowup]
+
+    consumers = [c for c in (options.record_snapshots and record, consume) if c]
+    for c in consumers:
+        c(0, v[None], live, np.ones(n_paths, dtype=int))
 
     # a path's state may overflow before its non-finite row stops it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -491,16 +503,15 @@ def solve_block(x, paths: list, spec: ProblemSpec,
             for key, r in rows.items():
                 series[key][live, start + 1:start + k + 1] = r.T
             events = monitor.scan(stepper.dt, rows, failed, live)
-            if options.record_snapshots:
-                due = [j for j in range(k) if (start + j + 1) % options.stride == 0]
-                for row, b in enumerate(live):
-                    stop, kind, _ = events.get(row, (k, None, None))
-                    kept = [j for j in due if j < stop] + ([stop] if kind == "blowup" else [])
-                    snaps[b] += [(start + j + 1, states[j, row].copy()) for j in kept]
             for row, (stop, kind, reason) in events.items():
                 b = live[row]
                 last[b] = start + stop + 1
                 statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
+            if consumers:
+                kept = np.full(len(live), k)
+                kept[list(events)] = [stop + (kind == "blowup") for stop, kind, _ in events.values()]
+                for c in consumers:
+                    c(start + 1, states, live, kept)
             if events:   # a stopped path's row leaves the block
                 keep = [row for row in range(len(live)) if row not in events]
                 if not keep:
@@ -529,19 +540,33 @@ def solve_rescaled(x: Field, path: WienerPath, spec: ProblemSpec,
 
 def transform(u: Field, W_t: Field, direction: str) -> Field:
     """Pointwise rescaling factor: to_X multiplies by e^W, to_y by e^{-W}."""
-    if direction == "to_X":
-        return Field(u.grid, u.values * np.exp(W_t.values))
-    if direction == "to_y":
-        return Field(u.grid, u.values * np.exp(-W_t.values))
-    raise ValueError(f"direction must be 'to_X' or 'to_y', got {direction!r}")
+    if direction not in ("to_X", "to_y"):
+        raise ValueError(f"direction must be 'to_X' or 'to_y', got {direction!r}")
+    return Field(u.grid, u.values * np.exp(W_t.values if direction == "to_X" else -W_t.values))
+
+
+def y_to_X(model: NoiseModel, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """X = e^W y of each state of a stack y, W = sum_j phi_j betas[..., j] one mode sum.  Each
+    product rounds as one state's y * exp(W), which NumPy runs as exp(W) *= y from 256 KiB."""
+    e = np.exp(_mode_sum(betas.reshape(math.prod(betas.shape[:-1]), -1), model.phi_stack))
+    e = e.reshape(y.shape)
+    state_bytes = y.itemsize * model.grid.n ** model.grid.d
+    return np.multiply(*((e, y) if state_bytes >= 256 * 1024 else (y, e)), out=e)
 
 
 def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> list:
-    """Companion X-snapshots e^{W(t_i)} y(t_i) for a rescaled trajectory."""
-    out = []
-    for idx, snap in zip(traj.snapshot_indices, traj.snapshots):
-        out.append(transform(snap, eval_W(model, path, idx), "to_X"))
-    return out
+    """Companion X-snapshots e^{W(t_i)} y(t_i) for a rescaled trajectory, one at a time."""
+    return [Field(model.grid, y_to_X(model, path.betas[idx], snap.values))
+            for idx, snap in zip(traj.snapshot_indices, traj.snapshots)]
+
+
+def X_consumer(consume, paths: list, model: NoiseModel, scheme: str):
+    """consume as a solve_block consumer of X: e^W y for the rescaled scheme."""
+    if scheme != "rescaled":
+        return consume
+    betas = np.stack([p.betas for p in paths], axis=1)   # (n_steps + 1, B, N)
+    return lambda start, y, live, kept: consume(
+        start, y_to_X(model, betas[start:start + len(y), live], y), live, kept)
 
 
 def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,

@@ -7,10 +7,10 @@ stochastic integrals as left-point (Ito) sums on the same grid.  The
 residual series r(t) = LHS(t) - RHS(t) starts at exactly zero and, for a
 correct scheme, shrinks under coupled path refinement.
 
-Time is the batch axis: the snapshots are stacked in chunks of rows, every
-spectral quantity of a chunk is computed once by the row-wise functions of
-`spectral`, and each identity term is a row reduction.  Each row is reduced
-on its own, so a report does not depend on the chunking.
+Time is the batch axis: TERMS maps each identity to one function of a stack
+of rows (snapshot chunks here, solve_block's chunks in the identity ladder)
+that returns each row's LHS and term increments by the row-wise functions of
+`spectral`, so a report depends on neither the chunking nor the stacking.
 
 Substep test flags are honored: terms sourced by a disabled substep are
 dropped so the identity matches the equation actually integrated.
@@ -19,6 +19,7 @@ dropped so the identity matches the equation actually integrated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -57,32 +58,10 @@ class IdentityReport:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-def _prepare(traj: Trajectory, path: WienerPath, model: NoiseModel):
-    """(n snapshots, whether noise terms enter, the left-point increment
-    starting at each snapshot), after checking the snapshots are per-step."""
-    n = len(traj.times)
-    if traj.snapshot_indices != list(range(n)):
-        raise StrideError("identity checks require per-step snapshots (stride 1)")
-    if n - 1 > path.n_steps or n > 1 and abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
-        raise StrideError("trajectory and path live on different time grids")
-    # the last snapshot starts no increment
-    db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
-    return n, traj.flags.noise and model.n_modes > 0, db
-
-
 CHUNK_POINTS = 2048
 """Grid points per chunk of stacked snapshots (32 snapshots at n = 64).  It
 bounds the memory of the stacked terms, which for a whole trajectory grows
 with its length: 8 GB per array over 2000 steps at d = 3, n = 64."""
-
-
-def _chunks(traj: Trajectory, grid: Grid):
-    """(row slice, (rows, *grid.shape) stack) over the snapshots in order."""
-    size = max(1, CHUNK_POINTS // grid.n ** grid.d)
-    snaps = traj.snapshots
-    for a in range(0, len(snaps), size):
-        block = snaps[a:a + size]
-        yield slice(a, a + len(block)), np.stack([s.values for s in block])
 
 
 def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
@@ -90,34 +69,30 @@ def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
     return sum(quadrature(grid, np.multiply(u, np.conj(v)).real) for u, v in zip(us, vs))
 
 
-def _report(name, traj, path, lhs, terms) -> IdentityReport:
-    """Accumulate per-snapshot increments (the last one unused) into series."""
-    n = len(traj.times)
-    series = {k: np.concatenate(([0.0], np.cumsum(v[:-1]))) for k, v in terms.items()}
-    rhs = lhs[0] + sum(series.values()) if series else np.full(n, lhs[0])
+def _report(name, times, path, rows: dict) -> IdentityReport:
+    """Accumulate per-row increments (the last one unused) into series against rows["lhs"]."""
+    lhs = rows["lhs"]
+    series = {k: np.concatenate(([0.0], np.cumsum(v[:-1]))) for k, v in rows.items() if k != "lhs"}
+    rhs = lhs[0] + sum(series.values()) if series else np.full(len(times), lhs[0])
     residual = lhs - rhs
     residual[0] = 0.0   # exact by construction: all accumulators start at 0
-    return IdentityReport(name, traj.times.copy(), residual, lhs, series,
-                          path.dt, path.increments)
+    return IdentityReport(name, times.copy(), residual, lhs, series, path.dt, path.increments)
 
 
-def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> IdentityReport:
-    """|X(t)|_2^2 against |x|_2^2 + 2 sum_j int Re mu_j <X, X e_j> dbeta_j."""
-    n, use_noise, db = _prepare(traj, path, model)
-    grid = model.grid
-    lhs = np.empty(n)
-    noise_incr = np.zeros(n)
-    for rows, v in _chunks(traj, grid):
-        abs2 = guarded_abs_power(v, 2.0)
-        lhs[rows] = quadrature(grid, abs2)
-        if not use_noise:
-            continue
+# The terms of each identity for a (R, *grid.shape) stack of rows v, with db the
+# (R, N) left-point increments starting at the rows: {"lhs": each row's LHS,
+# term: each row's increment}, the terms in the order their series are summed.
+
+def _mass_terms(v, db, dt, model, spec, flags):
+    abs2 = guarded_abs_power(v, 2.0)
+    rows = {"lhs": quadrature(model.grid, abs2)}
+    if flags.noise and model.n_modes > 0:
+        rows["noise_mart"] = np.zeros(len(v))
         for j, (mode, e) in enumerate(zip(model.modes, model.e_fields)):
             re_mu = complex(mode.mu).real
             if re_mu != 0.0:
-                noise_incr[rows] += 2.0 * re_mu * quadrature(grid, abs2 * e) * db[rows, j]
-    terms = {"noise_mart": noise_incr} if use_noise else {}
-    return _report("mass", traj, path, lhs, terms)
+                rows["noise_mart"] += 2.0 * re_mu * quadrature(model.grid, abs2 * e) * db[:, j]
+    return rows
 
 
 def _gradient_noise_terms(grid: Grid, model: NoiseModel, v: np.ndarray, gv: list,
@@ -137,40 +112,21 @@ def _gradient_noise_terms(grid: Grid, model: NoiseModel, v: np.ndarray, gv: list
     return mu_drift, qv_grad, mart_grad
 
 
-def hamiltonian_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
-                         spec: ProblemSpec) -> IdentityReport:
-    """H(X(t)) against the five-term evolution formula (phi_j = mu_j e_j):
-
-    H(x) + int Re<-grad(mu X), grad X> ds + 1/2 sum int |grad(X phi_j)|_2^2 ds
-    - lam(a-1)/2 sum int int (Re phi_j)^2 |X|^{a+1} ds
-    + sum int Re<grad(phi_j X), grad X> dbeta_j
-    - lam sum int int Re phi_j |X|^{a+1} dbeta_j.
-    """
-    n, use_noise, db = _prepare(traj, path, model)
-    grid = model.grid
-    alpha, lam = spec.alpha, spec.lam
-    p = alpha + 1.0
-    dt = path.dt
-    lam_eff = lam if traj.flags.nonlinear else 0
-
-    lhs = np.empty(n)
-    incr = {k: np.zeros(n) for k in
-            ("mu_drift", "qv_grad", "qv_phase", "mart_grad", "mart_phase")}
-    for rows, v in _chunks(traj, grid):
-        abs_p = guarded_abs_power(v, p)
-        lhs[rows] = 0.5 * grad_sq_norms(grid, v) - (lam_eff / p) * quadrature(grid, abs_p)
-        if not use_noise:
-            continue
-        (incr["mu_drift"][rows], incr["qv_grad"][rows],
-         incr["mart_grad"][rows]) = _gradient_noise_terms(
-            grid, model, v, gradient_arrays(grid, v), db[rows], dt)
+def _hamiltonian_terms(v, db, dt, model, spec, flags):
+    grid, alpha, p = model.grid, spec.alpha, spec.alpha + 1.0
+    lam_eff = spec.lam if flags.nonlinear else 0
+    abs_p = guarded_abs_power(v, p)
+    rows = {"lhs": 0.5 * grad_sq_norms(grid, v) - (lam_eff / p) * quadrature(grid, abs_p)}
+    if flags.noise and model.n_modes > 0:
+        rows["mu_drift"], rows["qv_grad"], mart_grad = _gradient_noise_terms(
+            grid, model, v, gradient_arrays(grid, v), db, dt)
+        rows.update(qv_phase=np.zeros(len(v)), mart_grad=mart_grad, mart_phase=np.zeros(len(v)))
         for j, phi in enumerate(model.phi_fields):
             re_phi = phi.real
-            incr["qv_phase"][rows] += (-0.5 * lam_eff * (alpha - 1.0) * dt
-                                       * quadrature(grid, re_phi ** 2 * abs_p))
-            incr["mart_phase"][rows] += -lam_eff * quadrature(grid, re_phi * abs_p) * db[rows, j]
-    terms = incr if use_noise else {}
-    return _report("hamiltonian", traj, path, lhs, terms)
+            rows["qv_phase"] += (-0.5 * lam_eff * (alpha - 1.0) * dt
+                                 * quadrature(grid, re_phi ** 2 * abs_p))
+            rows["mart_phase"] += -lam_eff * quadrature(grid, re_phi * abs_p) * db[:, j]
+    return rows
 
 
 def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
@@ -181,6 +137,76 @@ def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
     return [np.multiply(f1, ga) + np.multiply(f2, np.conj(ga)) for ga in gv]
 
 
+def _lp_terms(v, db, dt, model, spec, flags):
+    grid, p = model.grid, spec.alpha + 1.0
+    abs_p = guarded_abs_power(v, p)
+    rows = {"lhs": quadrature(grid, abs_p), "grad_drift": np.zeros(len(v))}
+    if flags.linear:
+        gv = gradient_arrays(grid, v)
+        gg = _grad_g_pointwise(v, gv, p)
+        rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
+    if flags.noise and model.n_modes > 0:
+        rows.update(qv_phase=np.zeros(len(v)), mart_phase=np.zeros(len(v)))
+        for j, phi in enumerate(model.phi_fields):
+            re_phi = phi.real
+            rows["qv_phase"] += 0.5 * p * (p - 2.0) * dt * quadrature(grid, re_phi ** 2 * abs_p)
+            rows["mart_phase"] += p * quadrature(grid, re_phi * abs_p) * db[:, j]
+    return rows
+
+
+def _h1_terms(v, db, dt, model, spec, flags, m=None):
+    grid, noisy = model.grid, flags.noise and model.n_modes > 0
+    gv = gradient_arrays(grid, v)
+    rows = {"lhs": grad_sq_norms(grid, v)}
+    if noisy:   # twice the Hamiltonian terms: scaling by 2 is exact
+        rows["mu_drift"], rows["qv_grad"], mart_grad = (
+            2.0 * t for t in _gradient_noise_terms(grid, model, v, gv, db, dt))
+    if flags.nonlinear:
+        g = np.multiply(guarded_abs_power(v, spec.alpha - 1.0), v)
+        ggm = gradient_arrays(grid, theta_m_values(grid, g, nyquist_cutoff(grid) if m is None else m))
+        rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, [1j * ga for ga in ggm], gv) * dt
+    if noisy:
+        rows["mart_grad"] = mart_grad
+    return rows
+
+
+TERMS = {"mass": _mass_terms, "hamiltonian": _hamiltonian_terms, "lp": _lp_terms,
+         "h1": _h1_terms}
+
+
+def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **kw):
+    """One identity along a trajectory's per-step snapshots, stacked in chunks of rows."""
+    n = len(traj.times)
+    if traj.snapshot_indices != list(range(n)):
+        raise StrideError("identity checks require per-step snapshots (stride 1)")
+    if n - 1 > path.n_steps or n > 1 and abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
+        raise StrideError("trajectory and path live on different time grids")
+    # the last snapshot starts no increment
+    db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
+    size = max(1, CHUNK_POINTS // model.grid.n ** model.grid.d)
+    chunks = [TERMS[name](np.stack([s.values for s in traj.snapshots[a:a + size]]), db[a:a + size],
+                          path.dt, model, spec, traj.flags, **kw) for a in range(0, n, size)]
+    return _report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])
+                                            for k in chunks[0]})
+
+
+def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> IdentityReport:
+    """|X(t)|_2^2 against |x|_2^2 + 2 sum_j int Re mu_j <X, X e_j> dbeta_j."""
+    return _check("mass", traj, path, model, None)
+
+
+def hamiltonian_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
+                         spec: ProblemSpec) -> IdentityReport:
+    """H(X(t)) against the five-term evolution formula (phi_j = mu_j e_j):
+
+    H(x) + int Re<-grad(mu X), grad X> ds + 1/2 sum int |grad(X phi_j)|_2^2 ds
+    - lam(a-1)/2 sum int int (Re phi_j)^2 |X|^{a+1} ds
+    + sum int Re<grad(phi_j X), grad X> dbeta_j
+    - lam sum int int Re phi_j |X|^{a+1} dbeta_j.
+    """
+    return _check("hamiltonian", traj, path, model, spec)
+
+
 def lp_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
                 spec: ProblemSpec) -> IdentityReport:
     """|X(t)|_p^p (p = alpha+1) against
@@ -189,31 +215,7 @@ def lp_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
     + p(p-2)/2 sum int int (Re phi_j)^2 |X|^p ds
     + p sum int int Re phi_j |X|^p dbeta_j.
     """
-    n, use_noise, db = _prepare(traj, path, model)
-    grid = model.grid
-    p = spec.alpha + 1.0
-    dt = path.dt
-    use_grad = traj.flags.linear
-
-    lhs = np.empty(n)
-    incr = {k: np.zeros(n) for k, on in [("grad_drift", True), ("qv_phase", use_noise),
-                                         ("mart_phase", use_noise)] if on}
-    for rows, v in _chunks(traj, grid):
-        abs_p = guarded_abs_power(v, p)
-        lhs[rows] = quadrature(grid, abs_p)
-        if use_grad:
-            gv = gradient_arrays(grid, v)
-            gg = _grad_g_pointwise(v, gv, p)
-            val = _re_inner(grid, [1j * ga for ga in gg], gv)
-            incr["grad_drift"][rows] = -p * val * dt
-        if use_noise:
-            for j, phi in enumerate(model.phi_fields):
-                re_phi = phi.real
-                incr["qv_phase"][rows] += (0.5 * p * (p - 2.0) * dt
-                                           * quadrature(grid, re_phi ** 2 * abs_p))
-                incr["mart_phase"][rows] += (p * quadrature(grid, re_phi * abs_p)
-                                             * db[rows, j])
-    return _report("lp", traj, path, lhs, incr)
+    return _check("lp", traj, path, model, spec)
 
 
 def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
@@ -227,34 +229,8 @@ def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
     where g_m is the Fourier cutoff of g at scale m (default: grid Nyquist,
     i.e. the cutoff acts as the identity on every resolved mode).
     """
-    n, use_noise, db = _prepare(traj, path, model)
-    grid = model.grid
-    alpha, lam = spec.alpha, spec.lam
-    dt = path.dt
-    use_lam = traj.flags.nonlinear
-    cutoff = nyquist_cutoff(grid) if m is None else m
-
-    lhs = np.empty(n)
-    incr = {k: np.zeros(n) for k, on in [("mu_drift", use_noise), ("qv_grad", use_noise),
-                                         ("lam_drift", use_lam), ("mart_grad", use_noise)] if on}
-    for rows, v in _chunks(traj, grid):
-        lhs[rows] = grad_sq_norms(grid, v)
-        gv = gradient_arrays(grid, v)
-        if use_noise:
-            # twice the Hamiltonian terms: scaling by 2 is exact
-            (incr["mu_drift"][rows], incr["qv_grad"][rows], incr["mart_grad"][rows]) = (
-                2.0 * t for t in _gradient_noise_terms(grid, model, v, gv, db[rows], dt))
-        if use_lam:
-            g = np.multiply(guarded_abs_power(v, alpha - 1.0), v)
-            ggm = gradient_arrays(grid, theta_m_values(grid, g, cutoff))
-            val = _re_inner(grid, [1j * ga for ga in ggm], gv)
-            incr["lam_drift"][rows] = -2.0 * lam * val * dt
-    return _report("h1", traj, path, lhs, incr)
+    return _check("h1", traj, path, model, spec, m=m)
 
 
-ALL_IDENTITIES = {
-    "mass": lambda traj, path, model, spec: mass_identity(traj, path, model),
-    "hamiltonian": hamiltonian_identity,
-    "lp": lp_identity,
-    "h1": h1_identity,
-}
+# name -> check(traj, path, model, spec)
+ALL_IDENTITIES = {name: partial(_check, name) for name in TERMS}

@@ -5,6 +5,8 @@ index) and are solved in consecutive blocks whose sizes depend on the grid,
 the path count and the parallel width, while a path's bits depend on neither
 its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
+The identity ladder and the continuity probe read solve_block's chunks as
+they are solved (as X); only convergence_order keeps states, to compare levels.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -19,13 +22,13 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, rescaled_to_X,
-                       solve_block)
+from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, X_consumer,
+                       rescaled_to_X, solve_block)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
-from .identities import ALL_IDENTITIES
+from .identities import TERMS, _report
 from .noise import ladder_paths
-from .spectral import Field, Grid, boundary_ratio, h1_norm, quadrature
+from .spectral import Field, Grid, boundary_ratios, h1_norm, quadrature
 
 
 ENSEMBLE_POINTS = 4 * BLOCK_POINTS
@@ -338,24 +341,37 @@ class IdentityLadder:
 
 
 def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
-    options = replace(config.options, record_snapshots=True, stride=1)
-    terminal = np.zeros((len(ids), len(ALL_IDENTITIES), config.levels))
+    """Per path, each identity's |terminal| and sup_t |residual| at each level, its
+    largest boundary ratio of X, its finest reports if it is path 0, and its statuses:
+    the per-path series of the term functions of each chunk's kept rows, as X."""
+    terminal = np.zeros((len(ids), len(TERMS), config.levels))
     sup = np.zeros_like(terminal)
     boundary = np.zeros((len(ids), config.levels))
     statuses = np.empty((len(ids), config.levels), dtype=object)
     finest = [None] * len(ids)
+
+    def consume(start, X, live, kept):
+        j, r = np.nonzero(np.arange(len(X))[:, None] < kept)
+        t, b, v = start + j, live[r], X[j, r]
+        np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(v)))
+        count[live] += kept
+        for name, terms in TERMS.items():
+            for key, rows in terms(v, db[t, b], dt, spec.model, spec, config.options.flags).items():
+                series[name][key][b, t] = rows
+
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
     for level, paths in enumerate(ladder):
-        trajs = solve_block(x, paths, spec, options, config.scheme)
-        for b, path in enumerate(paths):
-            traj, trajs[b] = trajs[b], None    # free each trajectory once checked
-            if traj.status.kind == "numeric-failure":   # its non-finite last state has no snapshot
-                traj = replace(traj, times=traj.times[:len(traj.snapshots)])
-            traj = replace(traj, snapshots=_as_X(traj, path, spec, config))
-            boundary[b, level] = max(boundary_ratio(snap) for snap in traj.snapshots)
+        dt, count = paths[0].dt, np.zeros(len(ids), dtype=int)
+        db = np.zeros((paths[0].n_steps + 1, len(ids), spec.model.n_modes))
+        db[:-1] = np.stack([p.increments for p in paths], axis=1)   # the last row starts none
+        series = {name: defaultdict(partial(np.empty, (len(ids), len(db)))) for name in TERMS}
+        trajs = solve_block(x, paths, spec, replace(config.options, record_snapshots=False),
+                            config.scheme, X_consumer(consume, paths, spec.model, config.scheme))
+        for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
+            reports = {name: _report(name, path.times[:m], path,
+                                     {k: s[b, :m].copy() for k, s in series[name].items()})
+                       for name in TERMS}
             statuses[b, level] = traj.status.kind
-            reports = {name: fn(traj, path, spec.model, spec)
-                       for name, fn in ALL_IDENTITIES.items()}
             terminal[b, :, level] = [abs(r.terminal_residual) for r in reports.values()]
             sup[b, :, level] = [np.max(np.abs(r.residual)) for r in reports.values()]
             if ids[b] == 0 and level == config.levels - 1:
@@ -365,11 +381,14 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
 
 def identity_ladder(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> IdentityLadder:
     """Every Ito identity on each of n_paths paths at each of `levels` coupled
-    dt levels, solved in path blocks with snapshots at every step."""
-    results = _map_blocks(partial(_identity_block, x, spec, config), config, block_size(spec.grid))
+    dt levels, each step checked as it is solved.  A block keeps 22 series per path and
+    time: 8 * BLOCK_POINTS path-times hold them to 11 MB (32 paths over 2000 steps)."""
+    n_times = config.n_steps * 2 ** (config.levels - 1) + 1
+    results = _map_blocks(partial(_identity_block, x, spec, config), config,
+                          max(1, min(block_size(spec.grid), 8 * BLOCK_POINTS // n_times)))
     terminal, sup, boundary, statuses = (np.stack([r[i] for r in results]) for i in (0, 1, 2, 4))
-    return IdentityLadder({name: terminal[:, k] for k, name in enumerate(ALL_IDENTITIES)},
-                          {name: sup[:, k] for k, name in enumerate(ALL_IDENTITIES)},
+    return IdentityLadder({name: terminal[:, k] for k, name in enumerate(TERMS)},
+                          {name: sup[:, k] for k, name in enumerate(TERMS)},
                           results[0][3], float(np.max(boundary)), statuses)
 
 
@@ -387,25 +406,27 @@ class ContinuityReport:
 def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: EnsembleConfig,
                       direction: Field, ids) -> list:
     """Per path, its ratio at each delta.  The base run and the perturbed runs
-    of every path in `ids` are rows of solves of at most block_size rows."""
+    of every path in `ids` are rows of one solve; each chunk raises the running
+    sup_t |X_delta - X_base|_{H1} of each (path, delta)."""
     starts = np.stack([x.values] + [x.values + d * direction.values for d in deltas])
     (paths,) = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, 1)
     paths = [path for path in paths for _ in starts]
-    stack = np.concatenate([starts] * len(ids))
-    options = replace(config.options, record_snapshots=True, stride=1)
-    size = block_size(spec.grid)
-    trajs = [traj for a in range(0, len(paths), size)
-             for traj in solve_block(stack[a:a + size], paths[a:a + size], spec, options,
-                                     config.scheme)]
+    sup = np.zeros((len(ids), len(deltas)))
+
+    def consume(start, X, live, kept):
+        if len(live) == len(paths):   # else a run has stopped, and the probe fails below
+            X = X.reshape(len(X), len(ids), len(starts), *spec.grid.shape)
+            for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
+                np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)
+
+    trajs = solve_block(np.concatenate([starts] * len(ids)), paths, spec,
+                        replace(config.options, record_snapshots=False), config.scheme,
+                        X_consumer(consume, paths, spec.model, config.scheme))
     for a, traj in enumerate(trajs):
         if traj.status.kind != "finished":
             run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"
             raise RegimeError(f"continuity probe: {run} run ended with {traj.status.kind}")
-    v_h1 = h1_norm(direction)
-    X = [_as_X(traj, path, spec, config) for traj, path in zip(trajs, paths)]
-    return [[max(h1_norm(p - q) for p, q in zip(snaps, X[a])) / (d * v_h1)
-             for d, snaps in zip(deltas, X[a + 1:a + len(starts)])]
-            for a in range(0, len(trajs), len(starts))]
+    return list(sup / (np.array(deltas) * h1_norm(direction)))
 
 
 def continuity_probe(x: Field, deltas, spec: ProblemSpec, config: EnsembleConfig,

@@ -9,7 +9,10 @@ import pytest
 
 import snls.cli
 from snls.cli import main
-from snls.config import read_snapshot
+from snls.config import build_initial, build_problem, parse_config, read_snapshot
+from snls.dynamics import SolveOptions, rescaled_to_X, solve_rescaled
+from snls.noise import sample_path
+from snls.spectral import boundary_ratio
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -142,6 +145,20 @@ class TestSimulate:
         summary = read_summary(tmp_path)
         assert float(summary["direct_boundary_max"]) < 1e-8
         assert summary["direct_boundary_trusted"] == "true"
+
+    def test_rescaled_boundary_is_read_from_X(self, tmp_path):
+        # the summary's ratio is of X = e^W y at every step; its CSV and snapshots stay y's
+        cfg = write_cfg(tmp_path, NOISY_CFG.replace("scheme = direct", "scheme = rescaled"),
+                        m=1, levels=1, paths=1)
+        assert main(["simulate", "--config", cfg, "--seed", "5"]) == 0
+        with open(cfg) as fh:
+            parsed = parse_config(fh.read())
+        spec = build_problem(parsed)
+        path = sample_path(spec.model, spec.T, parsed.n_steps, 5)
+        traj = solve_rescaled(build_initial(parsed, spec.grid), path, spec, SolveOptions(stride=1))
+        X_max = max(boundary_ratio(X) for X in rescaled_to_X(traj, path, spec.model))
+        assert float(read_summary(tmp_path)["rescaled_boundary_max"]) == X_max
+        assert X_max > max(boundary_ratio(y) for y in traj.snapshots)
 
     def test_shipped_conservative_config_is_trusted(self, tmp_path):
         cfg = str(CONFIGS / "conservative.cfg")

@@ -14,7 +14,7 @@ from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
                            propagator_apply, rescaled_coefficients,
                            rescaled_to_X, solve_block, solve_direct,
                            solve_rescaled, step_direct, step_rescaled,
-                           transform)
+                           transform, y_to_X)
 from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
@@ -579,6 +579,20 @@ class TestTransform:
     def test_bad_direction(self):
         with pytest.raises(ValueError):
             transform(gaussian(), Field(GRID, np.zeros(GRID.shape)), "sideways")
+
+    @pytest.mark.parametrize("n", [64, 128])   # one state below and at 256 KiB
+    def test_stacked_y_to_X_rounds_as_one_state(self, n):
+        # NumPy evaluates y * exp(W) as exp(W) *= y from 256 KiB (four 64x64
+        # states, one 128x128 state), and the complex product rounds differently
+        grid = Grid(2, n, 32.0)
+        model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 3.0, (0, 0, 0)))], grid)
+        path = sample_path(model, 0.5, 4, seed=2)
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal((4, *grid.shape)) + 1j * rng.standard_normal((4, *grid.shape))
+        X = y_to_X(model, path.betas[:4], y)
+        for i in range(4):
+            assert np.array_equal(X[i], transform(Field(grid, y[i]), eval_W(model, path, i),
+                                                  "to_X").values)
 
 
 class TestRescalingEquivalence:

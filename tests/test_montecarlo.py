@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import snls.montecarlo
-from snls.dynamics import (BlowupThresholds, ProblemSpec, RegimeError,
+from snls.dynamics import (BLOCK_POINTS, BlowupThresholds, ProblemSpec, RegimeError,
                            SolveOptions, StepFlags, rescaled_to_X, solve_direct,
                            solve_rescaled)
 from snls.identities import (h1_identity, hamiltonian_identity, lp_identity,
@@ -371,16 +372,17 @@ class TestConvergenceOrder:
 
 
 def hand_identity_ladder(x, spec, config):
-    """Reference for identity_ladder: one path at a time, one level at a time.
-    The boundary ratio is X's: of e^W y for the rescaled scheme, not of y."""
+    """Reference for identity_ladder: one path at a time, one level at a time,
+    each trajectory checked as its snapshots keep it (a stopped path up to its
+    stop).  The boundary ratio is X's: of e^W y for the rescaled scheme, not of y."""
     solver = solve_rescaled if config.scheme == "rescaled" else solve_direct
+    options = replace(config.options, record_snapshots=True, stride=1)
     terminal = np.zeros((config.n_paths, 4, config.levels))
     boundary = y_boundary = 0.0
     for pid in range(config.n_paths):
         path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
         for level in range(config.levels):
-            traj = solver(x, path, spec, SolveOptions(stride=1))
-            assert traj.status.kind == "finished"
+            traj = solver(x, path, spec, options)
             y_boundary = max(y_boundary, float(np.max(traj.diagnostic("boundary"))))
             if config.scheme == "rescaled":
                 traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
@@ -429,6 +431,26 @@ class TestIdentityLadder:
         ladder = identity_ladder(x, spec, config)
         assert ladder.boundary_max == boundary
         assert boundary > y_boundary
+
+    def test_one_path_stops_mid_block(self):
+        # path 3 crosses the H1 cap at both levels while its block-mates run
+        # on to T: its rows up to and including the blowup row are checked
+        spec = spec_with_mode(1.0 + 0j, T=0.05)
+        x = gaussian()
+        base = EnsembleConfig(n_paths=6, seed=6, n_steps=20, levels=2, width=1, options=NOSNAP)
+        config = replace(base, options=SolveOptions(
+            record_snapshots=False, thresholds=one_crossing_thresholds(x, spec, base)))
+        stops = [s.t for s in run_ensemble(x, spec, config).statuses if s.kind == "blowup"]
+        assert len(stops) == 1 and 0.0 < stops[0] < spec.T
+        terminal, finest, boundary, _ = hand_identity_ladder(x, spec, config)
+        for width in (1, 2):
+            ladder = identity_ladder(x, spec, replace(config, width=width))
+            assert ladder.statuses.tolist() == [["finished"] * 2] * 3 + [["blowup"] * 2] + [
+                ["finished"] * 2] * 2
+            for k, name in enumerate(ladder.terminal):
+                assert np.array_equal(ladder.terminal[name], terminal[:, k])
+                assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
+            assert ladder.boundary_max == boundary
 
     def test_unfinished_paths_are_counted(self):
         spec = spec_with_mode(1.0 + 0j, T=0.05)
@@ -509,3 +531,41 @@ class TestContinuityProbe:
         with pytest.raises(RegimeError):
             continuity_probe(gaussian(amp=3.0, grid=grid), [1e-2], spec, config,
                              gaussian(grid=grid))
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s peak of traced memory above what was live before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingMemory:
+    # solve_block hands its chunks to the engines as they are solved: the
+    # peak is the per-path series plus a chunk's working arrays, while a
+    # stride-1 trajectory of every path (1 KiB a step at n = 64) is never held
+    GRID64 = Grid(1, 64, 16.0)
+    CHUNK = BLOCK_POINTS * 16    # bytes of one chunk of complex states
+
+    def test_identity_ladder_keeps_series_not_trajectories(self):
+        spec = spec_with_mode(1.0 + 0j, T=0.2, grid=self.GRID64)
+        x = gaussian(grid=self.GRID64)
+        config = EnsembleConfig(n_paths=64, seed=2, n_steps=400, width=1)
+        identity_ladder(x, spec, replace(config, n_paths=1, n_steps=4))   # fills the caches
+        # per path-time: 17 identity series and solve_block's 5 diagnostic series
+        series = 64 * 401 * 8 * (17 + 5)
+        peak = traced_peak(identity_ladder, x, spec, config)
+        assert peak <= series + 24 * self.CHUNK < 64 * 401 * 64 * 16
+
+    def test_continuity_probe_keeps_sups_not_trajectories(self):
+        spec = spec_with_mode(1.0 + 0j, T=0.2, grid=self.GRID64)
+        x, v = gaussian(grid=self.GRID64), gaussian(grid=self.GRID64, width=2.0)
+        config = EnsembleConfig(n_paths=8, seed=2, n_steps=400, width=1)
+        continuity_probe(x, [1e-2], spec, replace(config, n_paths=1, n_steps=4), v)
+        # 8 paths x 4 runs: one block of 32 rows, 5 diagnostic series per row-time
+        series = 32 * 401 * 8 * 5
+        peak = traced_peak(continuity_probe, x, [1e-2, 1e-3, 1e-4], spec, config, v)
+        assert peak <= series + 8 * self.CHUNK < 32 * 401 * 64 * 16
