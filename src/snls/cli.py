@@ -17,8 +17,7 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, SnapshotError, build_initial,
                      build_problem, parse_config, solve_options, write_snapshot)
-from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory,
-                       X_consumer, solve_block)
+from .dynamics import CFLError, NoContractionError, RegimeError, Trajectory, solve_block
 from .identities import ALL_IDENTITIES
 from .montecarlo import (EnsembleConfig, convergence_order, identity_ladder,
                          martingale_test, moment_monitor, run_ensemble)
@@ -61,7 +60,7 @@ def _write_diagnostics(path, traj: Trajectory):
         fh.write("t,mass,hamiltonian,h1,l_alpha_plus_1\n")
         for i, t in enumerate(traj.times):
             vals = ",".join(repr(float(traj.diagnostic(c)[i])) for c in cols)
-            fh.write(f"{t!r},{vals}\n")
+            fh.write(f"{float(t)!r},{vals}\n")
 
 
 def _write_summary(out: str, lines: list):
@@ -82,9 +81,8 @@ def cmd_simulate(args) -> int:
     code = 0
     for scheme in _schemes(cfg):
         ratios = []   # X's boundary ratio at each kept row; the diagnostics are y's
-        track = X_consumer(lambda start, X, live, kept: ratios.extend(
-            boundary_ratios(spec.grid, np.abs(X[:kept[0], 0]))), [path], spec.model, scheme)
-        (traj,) = solve_block(x, [path], spec, solve_options(cfg), scheme, track)
+        (traj,) = solve_block(x, [path], spec, solve_options(cfg), scheme,
+                              lambda t, b, X: ratios.extend(boundary_ratios(spec.grid, np.abs(X))))
         _write_diagnostics(os.path.join(out, f"diagnostics_{scheme}.csv"), traj)
         for idx, snap in zip(traj.snapshot_indices, traj.snapshots):
             write_snapshot(os.path.join(out, f"snapshot_{scheme}_{idx:06d}.bin"),

@@ -131,8 +131,12 @@ def _flags(text: str) -> StepFlags:
 
 def _triple(convert, fmt, fill):
     """Up to three space-separated values, padded with `fill` to three."""
-    return (lambda text: (tuple(convert(tok) for tok in text.split()) + (fill,) * 3)[:3],
-            lambda vals: " ".join(fmt(v) for v in vals))
+    def parse(text: str) -> tuple:
+        values = tuple(convert(tok) for tok in text.split())
+        if len(values) > 3:
+            raise ValueError(f"at most three values, got {len(values)}")
+        return values + (fill,) * (3 - len(values))
+    return parse, lambda vals: " ".join(fmt(v) for v in vals)
 
 
 def _checked(kind, ok, rule: str):

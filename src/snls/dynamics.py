@@ -289,36 +289,33 @@ def chunk_steps(n_paths: int, grid: Grid) -> int:
 
 
 class _Stepper:
-    """The work that needs only the Brownian paths runs for `chunk` steps at
-    a time: the mode sums sum_j coeffs[t, b, j] fields[j] of the chunk's steps
-    are one stack of k*B rows, and _path_chunk maps it to the arrays the steps
-    use, each reshaped to a leading axis of k steps."""
+    """The work that needs only the Brownian paths runs once per chunk of steps:
+    path_chunk's mode sums sum_j coeffs[t, b, j] fields[j] of a chunk are one
+    stack of k*B rows, which _path_arrays maps to the arrays its steps use."""
 
     phase = None   # the direct scheme's kept half-phase factor, one row per path
-    rows = slice(None)   # the paths still in the block, as indices into `paths`
 
-    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int):
-        self.spec, self.flags, self.grid, self.chunk = spec, flags, spec.grid, chunk
-        self.dt, self.n_steps = paths[0].dt, paths[0].n_steps
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
+        self.spec, self.flags, self.grid, self.dt = spec, flags, spec.grid, paths[0].dt
         self.has_noise = flags.noise and spec.model.n_modes > 0
-        self._start = self._stop = 0
 
-    def _path_rows(self, t_index: int) -> list:
-        if not self._start <= t_index < self._stop:
-            self._start, self._stop = t_index, min(t_index + self.chunk, self.n_steps)
-            coeffs = self.coeffs[self._start:self._stop, self.rows]
-            fields = _mode_sum(coeffs.reshape(-1, coeffs.shape[-1]), self.fields)
-            self._arrays = [a.reshape(len(coeffs), -1, *a.shape[1:])
-                            for a in self._path_chunk(fields)]
-        rows = [a[t_index - self._start] for a in self._arrays]
-        if t_index + 1 == self._stop:   # free the chunk's arrays with its last step
-            self._stop, self._arrays = 0, None
-        return rows
+    def path_chunk(self, start: int, k: int, live=slice(None)) -> list:
+        """The path arrays of steps start, ..., start + k - 1 of the paths `live`,
+        each with a leading axis of k steps; none without noise."""
+        if not self.has_noise:
+            return []
+        coeffs = self.coeffs[start:start + k, live]
+        sums = _mode_sum(coeffs.reshape(-1, coeffs.shape[-1]), self.fields)
+        return [a.reshape(k, -1, *a.shape[1:]) for a in self._path_arrays(sums)]
+
+    def step_at(self, v: np.ndarray, t_index: int) -> np.ndarray:
+        """One step from t_index with that step's own path arrays."""
+        return self.step(v, [a[0] for a in self.path_chunk(t_index, 1)])
 
 
 class _DirectStepper(_Stepper):
-    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int = 1):
-        super().__init__(spec, paths, flags, chunk)
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
+        super().__init__(spec, paths, flags)
         model = spec.model
         self.lin_mult = np.exp(1j * self.grid.k_squared * self.dt)
         damp = model.mu_field.astype(np.complex128) if flags.omit_mu_tilde else model.damping
@@ -330,7 +327,7 @@ class _DirectStepper(_Stepper):
             self.damp_dt = (damp.real if real else damp) * self.dt
             self.coeffs = np.stack([p.increments for p in paths], axis=1)
 
-    def _path_chunk(self, dW: np.ndarray) -> list:
+    def _path_arrays(self, dW: np.ndarray) -> list:
         """The noise factor exp(dW - damping dt) of each step."""
         return [np.exp(dW - self.damp_dt)]
 
@@ -344,15 +341,14 @@ class _DirectStepper(_Stepper):
         np.sin(theta, out=out.imag)
         return out
 
-    def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
+    def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
         if self.flags.nonlinear:
             v = np.multiply(v, self._phase(v) if self.phase is None else self.phase)
         if self.flags.linear:
             vhat = fft_trailing(v, self.grid.d)
             v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.grid.d, inverse=True)
         if self.has_noise:
-            (factor,) = self._path_rows(t_index)
-            v = np.multiply(v, factor)
+            v = np.multiply(v, arrays[0])
         if self.flags.nonlinear:
             self.phase = self._phase(v)
             v = np.multiply(v, self.phase)
@@ -363,7 +359,7 @@ def step_direct(state: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
                 flags: StepFlags = StepFlags()) -> Field:
     """One Strang step of the direct equation over [t_i, t_{i+1}]."""
     stepper = _DirectStepper(spec, [path], flags)
-    return Field(state.grid, stepper.step(state.values[None], t_index)[0]).check_finite()
+    return Field(state.grid, stepper.step_at(state.values[None], t_index)[0]).check_finite()
 
 
 def _coefficient_arrays(model: NoiseModel, sums: np.ndarray):
@@ -383,8 +379,8 @@ def rescaled_coefficients(model: NoiseModel, path: WienerPath, t_index: int):
 class _RescaledStepper(_Stepper):
     """RK4 on the rescaled right-hand side, coefficients frozen per step."""
 
-    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags, chunk: int = 1):
-        super().__init__(spec, paths, flags, chunk)
+    def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
+        super().__init__(spec, paths, flags)
         grid, dt = spec.grid, self.dt
         if flags.linear and dt * grid.k_max ** 2 > CFL_BOUND * CFL_SAFETY:
             raise CFLError(
@@ -394,17 +390,17 @@ class _RescaledStepper(_Stepper):
             self.fields = spec.model.derivative_stack
             self.coeffs = np.stack([p.betas for p in paths], axis=1)
 
-    def _path_chunk(self, sums: np.ndarray) -> list:
+    def _path_arrays(self, sums: np.ndarray) -> list:
         """b = 2 grad W (one array per axis), c and the envelope e^{(a-1)Re W},
         frozen at the step's left endpoint, from one mode sum of W and its derivatives."""
         W, grads, c = _coefficient_arrays(self.spec.model, sums)
         return [2.0 * g for g in grads] + [c, np.exp((self.spec.alpha - 1.0) * W.real)]
 
-    def step(self, v: np.ndarray, t_index: int) -> np.ndarray:
+    def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
         grid, spec, dt, d = self.grid, self.spec, self.dt, self.grid.d
         b = c = env = None
         if self.has_noise:
-            *b, c, env = self._path_rows(t_index)
+            *b, c, env = arrays
 
         def rhs(u):
             out = np.zeros_like(u)
@@ -433,7 +429,7 @@ def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
                   flags: StepFlags = StepFlags()) -> Field:
     """One RK4 step of the rescaled equation over [t_i, t_{i+1}]."""
     stepper = _RescaledStepper(spec, [path], flags)
-    return Field(y.grid, stepper.step(y.values[None], t_index)[0]).check_finite()
+    return Field(y.grid, stepper.step_at(y.values[None], t_index)[0]).check_finite()
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +445,14 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     one block from x: one Field for every path, or a (B, *grid.shape) stack of
     one initial state per path.  One Trajectory per path (y-variables for the
     rescaled scheme); each keeps its own finite check, blowup crossing, status
-    and stop index.  Steps run in chunks of chunk_steps(B, grid): the finite
-    check and the diagnostics of a chunk's stacked states run once, and their
-    rows pass through the blowup monitor in time order.  A path stops at its
-    first event; later rows are dropped and its row leaves the block.
-    consume(start, states, live, kept), if given, sees row 0, then each chunk:
-    states[j, r] is path live[r] at time index start + j, and its first kept[r]
-    rows are kept, as snapshots are: those before its stop, and a blowup row."""
+    and stop index.  Steps run in chunks of chunk_steps(B, grid): the stepper
+    maps the chunk's path work once, and the finite check and the diagnostics of
+    its stacked states run once, their rows passing through the blowup monitor
+    in time order.  A path stops at its first event; later rows are dropped and
+    its row leaves the block.  A path's kept rows are those before its stop, and
+    a blowup row; snapshots are taken from them.  consume(t, b, X), if given,
+    sees the kept rows of row 0, then of each chunk, as X (e^W y for the rescaled
+    scheme): X[i] is path b[i] at time index t[i]."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -465,7 +462,7 @@ def solve_block(x, paths: list, spec: ProblemSpec,
         raise ValueError("a path block needs at least one path, all on one time grid")
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
     chunk = chunk_steps(n_paths, grid)
-    stepper = _STEPPERS[scheme](spec, paths, options.flags, chunk)
+    stepper = _STEPPERS[scheme](spec, paths, options.flags)
     q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
     x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
     v = np.array(x0, dtype=np.complex128, order="C")
@@ -478,23 +475,26 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
     live = np.arange(n_paths)   # the path of each row of the block
+    betas = np.stack([p.betas for p in paths], axis=1) if consume and scheme == "rescaled" else None
 
-    def record(start, states, live, kept):   # snapshots: the kept rows due by stride, a blowup row
-        for row, b in enumerate(live):
-            snaps[b] += [(i, states[i - start, row].copy()) for i in range(start, start + kept[row])
-                         if i % options.stride == 0 or i == last[b] and statuses[b].is_blowup]
+    def hand_off(t, b, rows):   # snapshots: the kept rows due by stride, and a blowup row
+        if options.record_snapshots:
+            for i, (ti, bi) in enumerate(zip(t.tolist(), b.tolist())):
+                if ti % options.stride == 0 or ti == last[bi] and statuses[bi].is_blowup:
+                    snaps[bi].append((ti, rows[i].copy()))
+        if consume:
+            consume(t, b, rows if betas is None else y_to_X(spec.model, betas[t, b], rows))
 
-    consumers = [c for c in (options.record_snapshots and record, consume) if c]
-    for c in consumers:
-        c(0, v[None], live, np.ones(n_paths, dtype=int))
-
+    hand_off(np.zeros(n_paths, dtype=int), live, v)
     # a path's state may overflow before its non-finite row stops it
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n_steps, chunk):
             k = min(chunk, n_steps - start)
             states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
+            arrays = stepper.path_chunk(start, k, live)
             for j in range(k):
-                v = states[j] = stepper.step(v, start + j)
+                v = states[j] = stepper.step(v, [a[j] for a in arrays])
+            del arrays   # the chunk's path arrays go before its diagnostics
             rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
             failed = ~np.isfinite(states).reshape(k, len(live), -1).all(axis=2)
             if failed.any():
@@ -507,16 +507,19 @@ def solve_block(x, paths: list, spec: ProblemSpec,
                 b = live[row]
                 last[b] = start + stop + 1
                 statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
-            if consumers:
+            if options.record_snapshots or consume:
                 kept = np.full(len(live), k)
                 kept[list(events)] = [stop + (kind == "blowup") for stop, kind, _ in events.values()]
-                for c in consumers:
-                    c(start + 1, states, live, kept)
+                mask = np.arange(k)[:, None] < kept
+                j, r = np.nonzero(mask)
+                if len(j):   # none when every row fails at the chunk's first step
+                    hand_off(start + 1 + j, live[r],
+                             states[mask] if events else states.reshape(-1, *grid.shape))
             if events:   # a stopped path's row leaves the block
                 keep = [row for row in range(len(live)) if row not in events]
                 if not keep:
                     break
-                live, v, stepper.rows = live[keep], v[keep], live[keep]
+                live, v = live[keep], v[keep]
                 if stepper.phase is not None:
                     stepper.phase = stepper.phase[keep]
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
@@ -548,8 +551,8 @@ def transform(u: Field, W_t: Field, direction: str) -> Field:
 def y_to_X(model: NoiseModel, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X = e^W y of each state of a stack y, W = sum_j phi_j betas[..., j] one mode sum.  Each
     product rounds as one state's y * exp(W), which NumPy runs as exp(W) *= y from 256 KiB."""
-    e = np.exp(_mode_sum(betas.reshape(math.prod(betas.shape[:-1]), -1), model.phi_stack))
-    e = e.reshape(y.shape)
+    e = _mode_sum(betas.reshape(math.prod(betas.shape[:-1]), -1), model.phi_stack)
+    e = np.exp(e, out=e).reshape(y.shape)
     state_bytes = y.itemsize * model.grid.n ** model.grid.d
     return np.multiply(*((e, y) if state_bytes >= 256 * 1024 else (y, e)), out=e)
 
@@ -558,15 +561,6 @@ def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> list
     """Companion X-snapshots e^{W(t_i)} y(t_i) for a rescaled trajectory, one at a time."""
     return [Field(model.grid, y_to_X(model, path.betas[idx], snap.values))
             for idx, snap in zip(traj.snapshot_indices, traj.snapshots)]
-
-
-def X_consumer(consume, paths: list, model: NoiseModel, scheme: str):
-    """consume as a solve_block consumer of X: e^W y for the rescaled scheme."""
-    if scheme != "rescaled":
-        return consume
-    betas = np.stack([p.betas for p in paths], axis=1)   # (n_steps + 1, B, N)
-    return lambda start, y, live, kept: consume(
-        start, y_to_X(model, betas[start:start + len(y), live], y), live, kept)
 
 
 def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,
@@ -578,7 +572,7 @@ def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,
     stepper = _RescaledStepper(spec, [path], StepFlags(nonlinear=False))
     v = u0.values.astype(np.complex128)[None]
     for i in range(s_index, t_index):
-        v = stepper.step(v, i)
+        v = stepper.step_at(v, i)
     return Field(u0.grid, v[0]).check_finite()
 
 
@@ -623,7 +617,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
         u = np.empty((K + 1, *grid.shape), dtype=np.complex128)
         u[0] = x.values
         for i in range(K):
-            u[i + 1] = stepper.step(u[i:i + 1], i)[0]
+            u[i + 1] = stepper.step_at(u[i:i + 1], i)[0]
         envs = np.exp((spec.alpha - 1.0) * _mode_sum(path.betas[:K + 1], spec.model.phi_stack).real)
 
         y = u.copy()
@@ -634,7 +628,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                 f = envs * guarded_abs_power(y, spec.alpha - 1.0) * y
                 v = np.zeros_like(u)
                 for i in range(K):
-                    v[i + 1] = (stepper.step(v[i:i + 1] + (0.5 * dt) * f[i], i)[0]
+                    v[i + 1] = (stepper.step_at(v[i:i + 1] + (0.5 * dt) * f[i], i)[0]
                                 + (0.5 * dt) * f[i + 1])
                 new = u - 1j * spec.lam * v
                 new[0] = u[0]

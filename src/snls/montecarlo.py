@@ -5,8 +5,9 @@ index) and are solved in consecutive blocks whose sizes depend on the grid,
 the path count and the parallel width, while a path's bits depend on neither
 its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
-The identity ladder and the continuity probe read solve_block's chunks as
-they are solved (as X); only convergence_order keeps states, to compare levels.
+The identity ladder, the continuity probe and convergence_order read
+solve_block's kept rows as X while they are solved; convergence_order keeps
+only its finest level's X at the compared times.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, X_consumer,
-                       rescaled_to_X, solve_block)
+from .dynamics import BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, solve_block
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
 from .identities import TERMS, _report
@@ -268,52 +268,53 @@ class ConvergenceReport:
         yield f"convergence_inconclusive={str(self.inconclusive).lower()}"
 
 
-def _as_X(traj, path, spec: ProblemSpec, config: EnsembleConfig) -> list:
-    """traj's snapshots as X, which every check measures (rescaled ones hold y = e^{-W} X)."""
-    return rescaled_to_X(traj, path, spec.model) if config.scheme == "rescaled" else traj.snapshots
+def _convergence_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
+                       sup_over_time: bool, ids) -> list:
+    """Per path, its error at each coarser level, or None if it did not finish every
+    level: the finest level runs first and keeps its X at the compared times; each
+    coarser level's X there raises a running max of its L2 distance to them."""
+    ladder = list(ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids,
+                               config.levels))
+    errors = np.zeros((len(ids), config.levels - 1))
+    finished = np.ones(len(ids), dtype=bool)
+    finest = np.zeros((len(ids), config.n_steps + 1 if sup_over_time else 2, *spec.grid.shape),
+                      dtype=np.complex128)
 
+    def consume(t, b, X):
+        due = t % stride == 0
+        t, b, X = t[due] // stride, b[due], X[due]
+        if level == config.levels - 1:
+            finest[b, t] = X
+        else:
+            diff = np.abs(X - finest[b, t]) ** 2
+            np.maximum.at(errors[:, level], b, np.sqrt(quadrature(spec.grid, diff)))
 
-def _terminal_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
-                    sup_over_time: bool, ids) -> list:
-    """Per path, its stacked states at each level, or None if it did not
-    finish every level."""
-    finals = [[] for _ in ids]
-    ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
-    for level, paths in enumerate(ladder):
-        # sup-in-t keeps states at every base-grid time (memory-budget mode);
-        # the default keeps the terminal state only
+    for level in reversed(range(config.levels)):
+        paths = ladder[level]
+        # sup-in-t compares at every base-grid time; the default at the horizon only
         stride = 2 ** level if sup_over_time else paths[0].n_steps
-        opts = replace(config.options, record_snapshots=True, stride=stride)
-        for b, traj in enumerate(solve_block(x, paths, spec, opts, config.scheme)):
-            if traj.status.kind != "finished":
-                finals[b] = None
-            elif finals[b] is not None:
-                finals[b].append(np.stack([s.values for s in _as_X(traj, paths[b], spec, config)]))
-    return finals
+        finished &= [traj.status.kind == "finished" for traj in solve_block(
+            x, paths, spec, replace(config.options, record_snapshots=False), config.scheme, consume)]
+    return [e if ok else None for e, ok in zip(errors, finished)]
 
 
 def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                       sup_over_time: bool = False) -> ConvergenceReport:
     """Strong L2 errors against the finest of `levels` coupled dt levels,
     with the fitted log2 slope.  Errors are taken at the horizon unless
-    sup_over_time is set, which compares at every base-grid time and costs
-    the full trajectory storage per level.  A path that does not finish at
+    sup_over_time is set, which compares at every base-grid time and keeps
+    the finest level's X at each of them.  A path that does not finish at
     every level is left out of the errors and makes the report inconclusive;
     RegimeError if no path finishes."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
-    results = _map_blocks(partial(_terminal_block, x, spec, config, sup_over_time), config,
+    results = _map_blocks(partial(_convergence_block, x, spec, config, sup_over_time), config,
                           block_size(spec.grid))
-    finished = [finals for finals in results if finals is not None]
+    finished = [errs for errs in results if errs is not None]
     if not finished:
         raise RegimeError(f"convergence: none of {config.n_paths} paths finished every level")
-    errors = []
-    for level in range(config.levels - 1):
-        errs = []
-        for finals in finished:
-            diff = np.abs(finals[level] - finals[-1]) ** 2
-            errs.append(float(np.max(np.sqrt(quadrature(spec.grid, diff)))))
-        errors.append(float(np.mean(errs)))
+    errors = [float(np.mean([errs[level] for errs in finished]))
+              for level in range(config.levels - 1)]
     levels = list(range(config.levels - 1))
     logs = np.log2(np.maximum(errors, 1e-300))
     slope = float(np.polyfit(levels, logs, 1)[0])
@@ -350,13 +351,11 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
     statuses = np.empty((len(ids), config.levels), dtype=object)
     finest = [None] * len(ids)
 
-    def consume(start, X, live, kept):
-        j, r = np.nonzero(np.arange(len(X))[:, None] < kept)
-        t, b, v = start + j, live[r], X[j, r]
-        np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(v)))
-        count[live] += kept
+    def consume(t, b, X):
+        np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
+        np.add.at(count, b, 1)
         for name, terms in TERMS.items():
-            for key, rows in terms(v, db[t, b], dt, spec.model, spec, config.options.flags).items():
+            for key, rows in terms(X, db[t, b], dt, spec.model, spec, config.options.flags).items():
                 series[name][key][b, t] = rows
 
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
@@ -366,7 +365,7 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
         db[:-1] = np.stack([p.increments for p in paths], axis=1)   # the last row starts none
         series = {name: defaultdict(partial(np.empty, (len(ids), len(db)))) for name in TERMS}
         trajs = solve_block(x, paths, spec, replace(config.options, record_snapshots=False),
-                            config.scheme, X_consumer(consume, paths, spec.model, config.scheme))
+                            config.scheme, consume)
         for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
             reports = {name: _report(name, path.times[:m], path,
                                      {k: s[b, :m].copy() for k, s in series[name].items()})
@@ -413,15 +412,14 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
     paths = [path for path in paths for _ in starts]
     sup = np.zeros((len(ids), len(deltas)))
 
-    def consume(start, X, live, kept):
-        if len(live) == len(paths):   # else a run has stopped, and the probe fails below
-            X = X.reshape(len(X), len(ids), len(starts), *spec.grid.shape)
+    def consume(t, b, X):
+        if len(X) == len(paths) * len(np.unique(t)):   # else a run has stopped: the probe fails below
+            X = X.reshape(-1, len(ids), len(starts), *spec.grid.shape)
             for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
                 np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)
 
     trajs = solve_block(np.concatenate([starts] * len(ids)), paths, spec,
-                        replace(config.options, record_snapshots=False), config.scheme,
-                        X_consumer(consume, paths, spec.model, config.scheme))
+                        replace(config.options, record_snapshots=False), config.scheme, consume)
     for a, traj in enumerate(trajs):
         if traj.status.kind != "finished":
             run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"

@@ -170,7 +170,7 @@ def inverse(grid: Grid, uhat: np.ndarray) -> Field:
 
 def quadrature(grid: Grid, values: np.ndarray) -> np.ndarray:
     """h^d sum over the grid of each row: the integral of each field."""
-    rows = values.reshape(values.shape[:values.ndim - grid.d] + (-1,))
+    rows = values.reshape(values.shape[:values.ndim - grid.d] + (grid.n ** grid.d,))
     return grid.cell_volume * rows.sum(axis=-1)
 
 
@@ -238,14 +238,9 @@ def lp_norm(u: Field, p: float) -> float:
     return float(quadrature(u.grid, guarded_abs_power(u.values, p)) ** (1.0 / p))
 
 
-def l2_norm_grad(u: Field) -> float:
-    """L2 norm of the full gradient vector, sqrt(sum_a |d_a u|_2^2)."""
-    return float(np.sqrt(grad_sq_norms(u.grid, u.values)))
-
-
 def h1_norm(u: Field) -> float:
     """|u|_2 + |grad u|_2 (sum convention)."""
-    return lp_norm(u, 2) + l2_norm_grad(u)
+    return lp_norm(u, 2) + float(np.sqrt(grad_sq_norms(u.grid, u.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -107,10 +107,17 @@ class TestSimulate:
         summary = read_summary(tmp_path)
         assert summary["direct_status"] == "finished"
         assert float(summary["direct_hamiltonian_drift_rel"]) <= 1e-6
-        # diagnostics CSV: hamiltonian column constant to 1e-6
+        # diagnostics CSV: every field a plain number, t the path's times, and the
+        # hamiltonian column constant to 1e-6
         csv = (tmp_path / "out" / "diagnostics_direct.csv").read_text().splitlines()
         assert csv[0] == "t,mass,hamiltonian,h1,l_alpha_plus_1"
-        H = np.array([float(r.split(",")[2]) for r in csv[1:]])
+        table = np.array([[float(v) for v in r.split(",")] for r in csv[1:]])
+        assert table.shape == (251, 5)
+        with open(cfg) as fh:
+            parsed = parse_config(fh.read())
+        path = sample_path(build_problem(parsed).model, parsed.T, parsed.n_steps, 1)
+        assert table[:, 0].tolist() == path.times.tolist()
+        H = table[:, 2]
         assert np.max(np.abs(H - H[0])) / abs(H[0]) <= 1e-6
         snaps = sorted((tmp_path / "out").glob("snapshot_direct_*.bin"))
         assert len(snaps) == 3   # t = 0, 0.125, 0.25

@@ -124,8 +124,11 @@ profile = constant
         (MINIMAL + "\n[noise.1]\nmu_re = 1.0\nprofile = constant\n", "mu_im", "noise.1"),
         (MINIMAL + "\n[run]\nthreads = two\n", "threads", "run"),
         (MINIMAL + "\n[verify]\nrungs = 3\n", "rungs", "verify"),
+        (MINIMAL + "center = 1 2 3 4\n", "center", "problem"),
+        (MINIMAL + "\n[noise.1]\nmu_re = 1.0\nmu_im = 0.0\nprofile = cosine\nkmode = 1 0 0 7\n",
+         "kmode", "noise.1"),
     ], ids=["bad-float", "bad-choice", "missing", "bad-profile", "missing-noise", "bad-int",
-            "unknown"])
+            "unknown", "four-floats", "four-ints"])
     def test_error_names_key_and_section(self, text, key, section):
         with pytest.raises(ConfigError) as info:
             parse_config(text)

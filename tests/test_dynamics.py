@@ -418,12 +418,31 @@ class TestChunkInvariance:
     def test_bit_identical_at_every_chunk_length(self, monkeypatch, case, scheme):
         spec, x, paths, opts, kinds = chunk_case(case)
         grid, n_paths = spec.grid, len(paths)
-        runs = {}
+        runs, seen = {}, {}
         for K in (1, 3, chunk_steps(n_paths, grid)):
             monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", K * n_paths * grid.n ** grid.d)
             assert chunk_steps(n_paths, grid) == K
-            runs[K] = solve_block(x, paths, spec, opts, scheme)
+            calls = []
+            runs[K] = solve_block(x, paths, spec, opts, scheme,
+                                  lambda t, b, X: calls.append((t.copy(), b.copy(), X.copy())))
+            assert all(len(t) for t, _, _ in calls)   # a chunk with no kept row hands nothing
+            t, b, X = (np.concatenate(a) for a in zip(*calls))
+            order = np.lexsort((t, b))   # by path, then by time
+            seen[K] = t[order], b[order], X[order]
         want = runs.pop(1)
+        # the consumer sees each path's kept rows once, as X: those before its stop,
+        # and a blowup row; a snapshot is its row's X
+        t, b, X = seen.pop(1)
+        kept = [len(tr.times) - (tr.status.kind == "numeric-failure") for tr in want]
+        assert b.tolist() == [p for p, m in enumerate(kept) for _ in range(m)]
+        assert t.tolist() == [i for m in kept for i in range(m)]
+        for p, (traj, path) in enumerate(zip(want, paths)):
+            snaps = rescaled_to_X(traj, path, spec.model) if scheme == "rescaled" else traj.snapshots
+            assert len(snaps) > 1
+            for i, snap in zip(traj.snapshot_indices, snaps):
+                assert X[(b == p) & (t == i)].tobytes() == snap.values.tobytes()
+        for got in seen.values():
+            assert [a.tobytes() for a in got] == [t.tobytes(), b.tobytes(), X.tobytes()]
         assert {t.status.kind for t in want} == kinds
         # replaying the stored diagnostics finds each path's own status
         assert [detect_blowup(t, spec, opts.thresholds) for t in want] == [t.status for t in want]

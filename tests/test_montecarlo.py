@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -315,29 +316,37 @@ class TestConvergenceOrder:
         assert not sup.inconclusive
 
     def test_unfinished_path_left_out(self):
-        spec = spec_with_mode(1.0 + 0j)
-        base = dict(n_paths=6, seed=3, n_steps=50, levels=3, width=1)
-        thresholds = one_crossing_thresholds(gaussian(), spec,
-                                             EnsembleConfig(**base, options=NOSNAP))
-        opts = SolveOptions(record_snapshots=False, thresholds=thresholds)
-        rep = convergence_order(gaussian(), spec, EnsembleConfig(**base, options=opts))
-        assert rep.unfinished_paths == 1 and rep.inconclusive
-        assert "convergence_unfinished_paths=1" in rep.summary_lines()
-        # reference: the strong errors of the paths that finished every level
-        errs = []
-        for pid in range(6):
-            path = sample_path(spec.model, spec.T, 50, 3, pid)
-            finals = []
-            for level in range(3):
-                traj = solve_direct(gaussian(), path, spec,
-                                    replace(opts, record_snapshots=True, stride=path.n_steps))
-                finals.append(traj.snapshots[-1].values if traj.status.kind == "finished" else None)
-                path = refine_path(path)
-            if all(f is not None for f in finals):
-                errs.append([float(np.sqrt(quadrature(GRID, np.abs(f - finals[-1]) ** 2)))
-                             for f in finals[:-1]])
-        assert len(errs) == 5
-        assert rep.errors == np.mean(errs, axis=0).tolist()
+        # both schemes, horizon and sup-in-t errors, widths 1 and 2; the rescaled
+        # scheme's cap is on y, whose H1 passes its start only on a focusing problem
+        for scheme, sup_over_time, width in product(("direct", "rescaled"), (False, True), (1, 2)):
+            lam, x = (-1, gaussian()) if scheme == "direct" else (1, gaussian(2.0))
+            spec = spec_with_mode(1.0 + 0j, lam=lam)
+            base = dict(n_paths=6, seed=3, n_steps=50, levels=3, width=width, scheme=scheme)
+            thresholds = one_crossing_thresholds(x, spec, EnsembleConfig(**base, options=NOSNAP))
+            opts = SolveOptions(record_snapshots=False, thresholds=thresholds)
+            rep = convergence_order(x, spec, EnsembleConfig(**base, options=opts), sup_over_time)
+            assert rep.unfinished_paths == 1 and rep.inconclusive
+            assert "convergence_unfinished_paths=1" in rep.summary_lines()
+            # reference: the strong errors of the paths that finished every level, from
+            # each path's X at the compared times, solved alone
+            solve = solve_direct if scheme == "direct" else solve_rescaled
+            errs = []
+            for pid in range(6):
+                path = sample_path(spec.model, spec.T, 50, 3, pid)
+                finals = []
+                for level in range(3):
+                    stride = 2 ** level if sup_over_time else path.n_steps
+                    traj = solve(x, path, spec, replace(opts, record_snapshots=True, stride=stride))
+                    X = (rescaled_to_X(traj, path, spec.model) if scheme == "rescaled"
+                         else traj.snapshots)
+                    finals.append(np.stack([s.values for s in X])
+                                  if traj.status.kind == "finished" else None)
+                    path = refine_path(path)
+                if all(f is not None for f in finals):
+                    errs.append([float(np.max(np.sqrt(quadrature(GRID, np.abs(f - finals[-1]) ** 2))))
+                                 for f in finals[:-1]])
+            assert len(errs) == 5
+            assert rep.errors == np.mean(errs, axis=0).tolist(), (scheme, sup_over_time, width)
 
     def test_rescaled_errors_are_of_X(self):
         # reference: each path's terminal X = e^W y per level, solved alone
@@ -569,3 +578,14 @@ class TestStreamingMemory:
         series = 32 * 401 * 8 * 5
         peak = traced_peak(continuity_probe, x, [1e-2, 1e-3, 1e-4], spec, config, v)
         assert peak <= series + 8 * self.CHUNK < 32 * 401 * 64 * 16
+
+    def test_convergence_order_keeps_the_finest_X_only(self):
+        spec = spec_with_mode(1.0 + 0j, T=0.2, grid=self.GRID64)
+        x = gaussian(grid=self.GRID64)
+        config = EnsembleConfig(n_paths=16, seed=2, n_steps=100, levels=3, width=1)
+        convergence_order(x, spec, replace(config, n_paths=1, n_steps=4), True)   # fills the caches
+        # the finest level's X at the 101 base-grid times, and its 5 diagnostic series per row-time;
+        # the X of all three levels is never held
+        finest = 16 * 101 * 64 * 16 + 16 * 401 * 8 * 5
+        peak = traced_peak(convergence_order, x, spec, config, True)
+        assert peak <= finest + 10 * self.CHUNK < 3 * 16 * 101 * 64 * 16
