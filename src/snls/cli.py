@@ -27,8 +27,11 @@ from .spectral import BOUNDARY_DECAY_TOL, NumericFailure, boundary_ratios
 
 def _setup(args):
     """(config with --seed/--out applied, its created out directory, problem, initial datum)."""
-    with open(args.config) as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(args.config) as fh:
+            cfg = parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     given = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     cfg = replace(cfg, run=replace(cfg.run, **given))
     os.makedirs(cfg.run.out, exist_ok=True)

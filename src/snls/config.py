@@ -290,26 +290,29 @@ def build_problem(cfg: RunConfig) -> ProblemSpec:
     return ProblemSpec(grid, model, cfg.alpha, cfg.lam, cfg.T)
 
 
+@np.errstate(all="ignore")   # a datum that overflows or divides by zero is rejected below
 def build_initial(cfg: RunConfig, grid: Grid) -> Field:
     ini = cfg.initial
     if ini.kind == "gaussian":
-        return Field(grid, GaussianProfile(ini.amplitude, ini.width, ini.center).evaluate(grid))
-    if ini.kind == "soliton":
+        values = GaussianProfile(ini.amplitude, ini.width, ini.center).evaluate(grid)
+    elif ini.kind == "soliton":
         if grid.d != 1:
             raise ConfigError("the sech soliton datum is one-dimensional")
-        xi = grid.meshes[0] - ini.center[0]
-        return Field(grid, ini.amplitude / np.cosh(xi))
-    if ini.kind == "plane-wave":
+        values = ini.amplitude / np.cosh(grid.meshes[0] - ini.center[0])
+    elif ini.kind == "plane-wave":
         phase = np.zeros(grid.shape)
         scale = 2.0 * np.pi / grid.length
         for ax, mesh in enumerate(grid.meshes):
             phase = phase + scale * ini.kmode[ax] * mesh
-        return Field(grid, ini.amplitude * np.exp(1j * phase))
-    fld, _t = read_snapshot(ini.path)
-    if fld.grid != grid:
-        raise ConfigError(
-            f"snapshot grid {fld.grid} does not match the config grid {grid}")
-    return fld
+        values = ini.amplitude * np.exp(1j * phase)
+    else:
+        fld, _t = read_snapshot(ini.path)
+        if fld.grid != grid:
+            raise ConfigError(f"snapshot grid {fld.grid} does not match the config grid {grid}")
+        values = fld.values
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"initial datum {ini.kind!r} is non-finite on the grid")
+    return Field(grid, values)
 
 
 def solve_options(cfg: RunConfig, stride: int | None = None,

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import NoiseModel, WienerPath, _mode_row, _mode_sum
-from .spectral import (Field, Grid, boundary_ratios, fft_trailing, grad_sq_norms,
-                       guarded_abs_power, quadrature)
+from .spectral import (Field, Grid, apply_symbol, boundary_ratios, fft_trailing,
+                       grad_sq_norms, guarded_abs_power, quadrature)
 from .functionals import energy_critical_alpha, mass_critical_alpha
 
 # RK4 stability interval on the imaginary axis is |z| <= 2*sqrt(2) ~ 2.83;
@@ -344,7 +344,7 @@ class _DirectStepper(_Stepper):
     def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
         if self.flags.nonlinear:
             v = np.multiply(v, self._phase(v) if self.phase is None else self.phase)
-        if self.flags.linear:
+        if self.flags.linear:   # inline: freeing vhat later makes glibc trim the heap every step
             vhat = fft_trailing(v, self.grid.d)
             v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.grid.d, inverse=True)
         if self.has_noise:
@@ -365,7 +365,7 @@ def step_direct(state: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
 def _coefficient_arrays(model: NoiseModel, sums: np.ndarray):
     """W, grad W (one array per axis) and c = sum_j (d_j W)^2 + Lap W - i(mu + mu_tilde)
     from mode sums over model.derivative_stack, of shape (..., d+2, *grid.shape)."""
-    W, *grads, lap = np.moveaxis(sums, -model.grid.d - 1, 0)
+    W, lap, *grads = np.moveaxis(sums, -model.grid.d - 1, 0)
     return W, grads, sum((g * g for g in grads), lap - 1j * model.damping)
 
 
@@ -397,21 +397,16 @@ class _RescaledStepper(_Stepper):
         return [2.0 * g for g in grads] + [c, np.exp((self.spec.alpha - 1.0) * W.real)]
 
     def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
-        grid, spec, dt, d = self.grid, self.spec, self.dt, self.grid.d
-        b = c = env = None
-        if self.has_noise:
-            *b, c, env = arrays
+        grid, spec, dt = self.grid, self.spec, self.dt
+        *b, c, env = arrays or [None, None]   # no path arrays without noise: no b, c or envelope
 
         def rhs(u):
-            out = np.zeros_like(u)
+            out = 0.0   # 0.0 - x has the bits of np.zeros_like(u) - x
             if self.flags.linear:
-                uhat = fft_trailing(u, d)
-                Au = fft_trailing(-grid.k_squared * uhat, d, inverse=True)
-                if b is not None:
-                    for b_ax, km in zip(b, grid.k_meshes):
-                        Au = Au + np.multiply(b_ax, fft_trailing(1j * km * uhat, d, inverse=True))
-                    Au = Au + np.multiply(c, u)
-                out = -1j * Au
+                Au, *grads = apply_symbol(grid, u, grid.symbols[:1 + len(b)])   # Lap, grad if b
+                for b_ax, g in zip(b, grads):
+                    Au = Au + np.multiply(b_ax, g)
+                out = np.multiply(-1j, Au if c is None else Au + np.multiply(c, u))
             if self.flags.nonlinear:
                 power = guarded_abs_power(u, spec.alpha - 1.0)
                 factor = power if env is None else env * power

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import Field, Grid, fft_trailing
+from .spectral import Field, Grid, apply_symbol
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +99,10 @@ class NoiseModel:
 
     @cached_property
     def derivative_stack(self) -> np.ndarray:
-        """(N, d+2, *grid.shape): phi_j, d_1 phi_j ... d_d phi_j and Lap phi_j, transformed on
-        first use (direct runs never need it); W, grad W and Lap W are one mode sum of it."""
-        grid, what = self.grid, fft_trailing(self.phi_stack, self.grid.d)
-        symbols = [1j * km for km in grid.k_meshes] + [-grid.k_squared]
-        return np.stack([self.phi_stack] + [fft_trailing(s * what, grid.d, inverse=True)
-                                            for s in symbols], axis=1)
+        """(N, d+2, *grid.shape): phi_j, Lap phi_j and d_1 phi_j ... d_d phi_j, transformed on
+        first use (direct runs never need it); W, Lap W and grad W are one mode sum of it."""
+        grid, phi = self.grid, self.phi_stack
+        return np.stack([phi, *apply_symbol(grid, phi, grid.symbols)], axis=1)
 
     @cached_property
     def damping(self) -> np.ndarray:

@@ -86,6 +86,11 @@ class Grid:
         return k2
 
     @cached_property
+    def symbols(self) -> np.ndarray:
+        """(1 + d, *shape) symbols of Lap (-k_squared cast, -0.0 + 0j at k = 0) and d_1 ... d_d."""
+        return np.stack([(-self.k_squared).astype(complex)] + [1j * km for km in self.k_meshes])
+
+    @cached_property
     def k_modulus(self) -> np.ndarray:
         return np.sqrt(self.k_squared)
 
@@ -161,6 +166,17 @@ def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarra
     return values
 
 
+def apply_symbol(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """The Fourier multiplier ifft(symbol fft(v)) of each row: symbol is one array of grid.shape,
+    or a (k, *grid.shape) stack inverted in one pass, giving (k, ..., *grid.shape)."""
+    vhat = fft_trailing(values, grid.d)
+    lead = (1,) * (vhat.ndim - grid.d)   # a stack's symbol axis leads the rows' axes
+    out = np.multiply(symbol.reshape(symbol.shape[:-grid.d] + lead + grid.shape), vhat)
+    for ax in range(-1, -grid.d - 1, -1):   # in place: a new stack per axis faults in fresh pages
+        np.fft.ifft(out, axis=ax, out=out)
+    return out
+
+
 def forward(u: Field) -> np.ndarray:
     return fft_trailing(u.values, u.grid.d)
 
@@ -204,23 +220,16 @@ def grad_sq_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def gradient_arrays(grid: Grid, values: np.ndarray) -> list:
     """Spectral partial derivatives of each row, one array per axis."""
-    vhat = fft_trailing(values, grid.d)
-    return [fft_trailing(np.multiply(1j * km, vhat), grid.d, inverse=True)
-            for km in grid.k_meshes]
+    return list(apply_symbol(grid, values, grid.symbols[1:]))
 
 
 def gradient(u: Field) -> list:
     """Componentwise spectral derivative (d Fields)."""
-    out = [Field(u.grid, g) for g in gradient_arrays(u.grid, u.values)]
-    for g in out:
-        g.check_finite()
-    return out
+    return [Field(u.grid, g).check_finite() for g in gradient_arrays(u.grid, u.values)]
 
 
 def laplacian(u: Field) -> Field:
-    vhat = fft_trailing(u.values, u.grid.d)
-    lap = fft_trailing(np.multiply(-u.grid.k_squared, vhat), u.grid.d, inverse=True)
-    return Field(u.grid, lap).check_finite()
+    return Field(u.grid, apply_symbol(u.grid, u.values, u.grid.symbols[0])).check_finite()
 
 
 def inner_product(u: Field, v: Field) -> complex:
@@ -271,9 +280,7 @@ def theta_m_values(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
     """theta_m of each row."""
     if m <= 0:
         raise ValueError(f"cutoff scale m must be positive, got {m}")
-    sym = bump_symbol(grid.k_modulus / m)
-    vhat = fft_trailing(values, grid.d)
-    return fft_trailing(np.multiply(sym, vhat), grid.d, inverse=True)
+    return apply_symbol(grid, values, bump_symbol(grid.k_modulus / m))
 
 
 def nyquist_cutoff(grid: Grid) -> float:

@@ -174,20 +174,25 @@ class TestSimulate:
         assert summary["direct_boundary_trusted"] == "true"
         assert summary["rescaled_boundary_trusted"] == "true"
 
-    @pytest.mark.parametrize("edit", ["cfl", "snapshot"])
+    @pytest.mark.parametrize("edit", ["cfl", "snapshot", "not-utf8", "nan-datum"])
     def test_solver_and_snapshot_errors_exit_one(self, tmp_path, capsys, edit):
         text = (CONFIGS / "soliton.cfg").read_text()
         if edit == "cfl":       # dt * max|k|^2 = 3.2 on n = 512, L = 40
             text = text.replace("scheme = direct", "scheme = rescaled") \
                        .replace("dt = 1e-3", "dt = 2e-3")
-        else:
+        elif edit == "snapshot":
             snap = tmp_path / "short.bin"
             snap.write_bytes(b"SNLS\x01\x00\x01")
             text = text.replace("initial = soliton", f"initial = file\npath = {snap}")
+        elif edit == "nan-datum":   # 0/0 at the centre of a width-0 gaussian
+            text = text.replace("initial = soliton", "initial = gaussian\nwidth = 0.0")
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+        cfg.write_bytes((b"\xff\xfe" if edit == "not-utf8" else b"") + text.encode())
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err.startswith("snls: error:")
+        err = capsys.readouterr().err
+        assert err.startswith("snls: error:")
+        if edit == "not-utf8":
+            assert str(cfg) in err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=1)

@@ -332,6 +332,21 @@ class TestInitialData:
         x = build_initial(cfg, build_grid(cfg))
         assert np.array_equal(x.values, orig.values)
 
+    @pytest.mark.parametrize("kind", ["zero-width", "nan-snapshot"])
+    def test_non_finite_datum_is_an_error(self, tmp_path, kind):
+        # a width-0 gaussian is 0/0 = nan at the centre, a grid point
+        noise = "\n[noise.1]\nmu_re = 1.0\nmu_im = 0.0\nprofile = gaussian\n"
+        if kind == "zero-width":
+            cfg = parse_config(MINIMAL + "width = 0.0\n" + noise)
+        else:
+            grid = Grid(1, 64, 16.0)
+            values = np.exp(-grid.meshes[0] ** 2).astype(np.complex128)
+            values[7] = np.nan
+            write_snapshot(tmp_path / "x.bin", Field(grid, values), 0.0)
+            cfg = parse_config(MINIMAL + f"initial = file\npath = {tmp_path / 'x.bin'}\n" + noise)
+        with pytest.raises(ConfigError, match="non-finite"):
+            build_initial(cfg, build_problem(cfg).grid)
+
     def test_file_grid_mismatch(self, tmp_path):
         grid = Grid(1, 128, 16.0)
         snap = tmp_path / "x.bin"

@@ -5,7 +5,7 @@ from snls.dynamics import ProblemSpec, rescaled_coefficients, solve_direct
 from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile,
                         NoiseMode, _mode_sum, build_model, eval_W, refine_path,
                         sample_path, step_dW)
-from snls.spectral import Field, Grid
+from snls.spectral import Field, Grid, fft_trailing
 
 GRID = Grid(1, 64, 16.0)
 
@@ -203,14 +203,28 @@ class TestModeSum:
         assert _mode_sum(path.betas, model.derivative_stack).shape == (33, 3) + GRID.shape
 
     def test_direct_solve_leaves_derivative_stack_uncomputed(self):
-        model = single_mode_model(1.0)
-        spec = ProblemSpec(GRID, model, 3.0, -1, 0.1)
+        grid = Grid(1, 64, 16.0)   # a fresh grid: its symbol stack is not yet cached
+        model = single_mode_model(1.0, grid=grid)
+        spec = ProblemSpec(grid, model, 3.0, -1, 0.1)
         path = sample_path(model, 0.1, 20, seed=3)
-        x = Field(GRID, np.exp(-GRID.meshes[0] ** 2))
+        x = Field(grid, np.exp(-grid.meshes[0] ** 2))
         solve_direct(x, path, spec)
         assert "derivative_stack" not in model.__dict__
+        assert "symbols" not in grid.__dict__
         rescaled_coefficients(model, path, 5)
         assert "derivative_stack" in model.__dict__
+        assert "symbols" in grid.__dict__
+
+    @pytest.mark.parametrize("grid", [GRID, Grid(2, 16, 8.0)], ids=["d1", "d2"])
+    def test_derivative_stack_is_the_per_symbol_transforms(self, grid):
+        # reference: phi_j, then each multiplier as its own transform pair
+        model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 2.0, (0.5, 0, 0))),
+                             NoiseMode(0.8j, CosineProfile(0.7, (2, 1, 0)))], grid)
+        what = fft_trailing(model.phi_stack, grid.d)
+        symbols = [-grid.k_squared] + [1j * km for km in grid.k_meshes]
+        want = np.stack([model.phi_stack] + [fft_trailing(np.multiply(s, what), grid.d, inverse=True)
+                                             for s in symbols], axis=1)
+        assert model.derivative_stack.tobytes() == want.tobytes()
 
 
 class TestNoiseFactorModulus:

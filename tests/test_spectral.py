@@ -1,11 +1,14 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snls.spectral import (BOUNDARY_DECAY_TOL, Field, Grid, GridMismatchError,
-                           boundary_ratio, bump_symbol, field_from_function,
-                           grad_sq_norms, gradient, gradient_arrays, h1_norm,
-                           inner_product, laplacian, lp_norm, nyquist_cutoff,
+                           apply_symbol, boundary_ratio, bump_symbol, fft_trailing,
+                           field_from_function, grad_sq_norms, gradient, gradient_arrays,
+                           h1_norm, inner_product, laplacian, lp_norm, nyquist_cutoff,
                            quadrature, theta_m, theta_m_values, zero_field)
 
 
@@ -279,6 +282,8 @@ class TestRowwise:
             "quadrature": quadrature(grid, stack.real ** 2 + stack.imag ** 2),
             "grad_sq_norms": grad_sq_norms(grid, stack),
             "theta_m": theta_m_values(grid, stack, 2.0),
+            "laplacian": apply_symbol(grid, stack, grid.symbols[0]),
+            "symbols": np.moveaxis(apply_symbol(grid, stack, grid.symbols), 1, 0),
         }
         grads = gradient_arrays(grid, stack)
         for b, row in enumerate(stack):
@@ -286,8 +291,45 @@ class TestRowwise:
                 "quadrature": quadrature(grid, row.real ** 2 + row.imag ** 2),
                 "grad_sq_norms": grad_sq_norms(grid, row),
                 "theta_m": theta_m_values(grid, row, 2.0),
+                "laplacian": laplacian(Field(grid, row)).values,
+                "symbols": apply_symbol(grid, row, grid.symbols),
             }
             for name, value in single.items():
                 assert batched[name][b].tobytes() == np.asarray(value).tobytes(), name
             for g_stack, g_row in zip(grads, gradient_arrays(grid, row)):
                 assert g_stack[b].tobytes() == g_row.tobytes()
+
+
+class TestApplySymbol:
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_stack_is_one_call_per_symbol_and_the_inline_pair(self, grid):
+        # the inline pairs the kernel replaced multiplied by the real -k_squared and by ik_j
+        block = np.stack([random_field(grid, seed).values for seed in range(3)])
+        stacked = apply_symbol(grid, block, grid.symbols)
+        assert stacked.shape == (grid.d + 1, 3) + grid.shape
+        inline = [-grid.k_squared] + [1j * km for km in grid.k_meshes]
+        for s, (symbol, S) in enumerate(zip(grid.symbols, inline)):
+            one = apply_symbol(grid, block, symbol)
+            pair = fft_trailing(np.multiply(S, fft_trailing(block, grid.d)), grid.d, inverse=True)
+            assert stacked[s].tobytes() == one.tobytes() == pair.tobytes()
+
+
+def _fft_trailing_calls(node, scope=()):
+    """The dotted class/function scope of each fft_trailing call under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        func = getattr(child, "func", None)
+        if isinstance(child, ast.Call) and "fft_trailing" in (getattr(func, "id", None),
+                                                             getattr(func, "attr", None)):
+            yield ".".join(scope)
+        named = isinstance(child, (ast.ClassDef, ast.FunctionDef))
+        yield from _fft_trailing_calls(child, scope + (child.name,) if named else scope)
+
+
+def test_fft_trailing_is_called_only_in_spectral_and_the_direct_step():
+    # every other Fourier multiplier goes through apply_symbol
+    src = Path(__file__).resolve().parents[1] / "src" / "snls"
+    calls = [(path.name, scope) for path in sorted(src.glob("*.py"))
+             for scope in _fft_trailing_calls(ast.parse(path.read_text()))]
+    direct = ("dynamics.py", "_DirectStepper.step")
+    assert [c for c in calls if c[0] != "spectral.py" and c != direct] == []
+    assert direct in calls
