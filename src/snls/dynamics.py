@@ -21,6 +21,7 @@ threshold-based blowup detection.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -381,6 +382,7 @@ class _RescaledStepper(_Stepper):
 
     def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
         super().__init__(spec, paths, flags)
+        self.kept = None   # a block's k1 ... k4, stage, temporary and Lap (and grad if b) stack
         grid, dt = spec.grid, self.dt
         if flags.linear and dt * grid.k_max ** 2 > CFL_BOUND * CFL_SAFETY:
             raise CFLError(
@@ -397,27 +399,34 @@ class _RescaledStepper(_Stepper):
         return [2.0 * g for g in grads] + [c, np.exp((self.spec.alpha - 1.0) * W.real)]
 
     def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
-        grid, spec, dt = self.grid, self.spec, self.dt
+        grid, spec, dt, flags = self.grid, self.spec, self.dt, self.flags
         *b, c, env = arrays or [None, None]   # no path arrays without noise: no b, c or envelope
+        if self.kept is None or self.kept.shape[1:] != v.shape:   # rows left the block
+            self.kept = np.empty((7 + len(b),) + v.shape, dtype=np.complex128)
+        (k1, k2, k3, k4, stage, tmp), stack = self.kept[:6], self.kept[6:]
 
-        def rhs(u):
-            out = 0.0   # 0.0 - x has the bits of np.zeros_like(u) - x
-            if self.flags.linear:
-                Au, *grads = apply_symbol(grid, u, grid.symbols[:1 + len(b)])   # Lap, grad if b
+        def rhs(u, out):   # into out; each product and sum keeps the out-of-place operand order
+            if flags.linear:
+                Au, *grads = apply_symbol(grid, u, grid.symbols[:len(stack)], stack)
                 for b_ax, g in zip(b, grads):
-                    Au = Au + np.multiply(b_ax, g)
-                out = np.multiply(-1j, Au if c is None else Au + np.multiply(c, u))
-            if self.flags.nonlinear:
-                power = guarded_abs_power(u, spec.alpha - 1.0)
-                factor = power if env is None else env * power
-                out = out - 1j * spec.lam * factor * u
-            return out
+                    np.add(Au, np.multiply(b_ax, g, out=g), out=Au)
+                if c is not None:
+                    np.add(Au, np.multiply(c, u, out=tmp), out=Au)
+                np.multiply(-1j, Au, out=out)
+            else:
+                out.fill(0.0)   # 0.0 - x has the bits of zeros - x
+            if flags.nonlinear:
+                factor = guarded_abs_power(u, spec.alpha - 1.0)
+                factor = factor if env is None else np.multiply(env, factor, out=factor)
+                np.multiply(1j * spec.lam, factor, out=tmp)
+                np.subtract(out, np.multiply(tmp, u, out=tmp), out=out)
 
-        k1 = rhs(v)
-        k2 = rhs(v + (0.5 * dt) * k1)
-        k3 = rhs(v + (0.5 * dt) * k2)
-        k4 = rhs(v + dt * k3)
-        return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rhs(v, k1)
+        for k, k_next, h in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+            rhs(np.add(v, np.multiply(h, k, out=stage), out=stage), k_next)
+        np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+        return np.add(v, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1))   # callers keep it
 
 
 def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
@@ -552,10 +561,25 @@ def y_to_X(model: NoiseModel, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.multiply(*((e, y) if state_bytes >= 256 * 1024 else (y, e)), out=e)
 
 
-def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> list:
-    """Companion X-snapshots e^{W(t_i)} y(t_i) for a rescaled trajectory, one at a time."""
-    return [Field(model.grid, y_to_X(model, path.betas[idx], snap.values))
-            for idx, snap in zip(traj.snapshot_indices, traj.snapshots)]
+class _XSnapshots(Sequence):
+    """X = e^{W(t_i)} y(t_i) of each snapshot of a rescaled trajectory, computed when read."""
+
+    def __init__(self, traj: Trajectory, path: WienerPath, model: NoiseModel):
+        self.traj, self.path, self.model = traj, path, model
+
+    def __len__(self) -> int:
+        return len(self.traj.snapshots)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        idx, y = self.traj.snapshot_indices[i], self.traj.snapshots[i]
+        return Field(self.model.grid, y_to_X(self.model, self.path.betas[idx], y.values))
+
+
+def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> Sequence:
+    """Companion X-snapshots e^{W(t_i)} y(t_i) of a rescaled trajectory, each computed when read."""
+    return _XSnapshots(traj, path, model)
 
 
 def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,

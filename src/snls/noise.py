@@ -117,7 +117,8 @@ def build_model(modes, grid: Grid) -> NoiseModel:
     mu = np.zeros(grid.shape)
     mu_tilde = np.zeros(grid.shape, dtype=np.complex128)
     for mode in modes:
-        e = np.asarray(mode.profile.evaluate(grid), dtype=float)
+        with np.errstate(all="ignore"):   # a profile that overflows or is 0/0 is rejected below
+            e = np.asarray(mode.profile.evaluate(grid), dtype=float)
         if not np.all(np.isfinite(e)):
             raise ValueError("noise profile is non-finite on the grid")
         amp = complex(mode.mu)

@@ -166,12 +166,12 @@ def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarra
     return values
 
 
-def apply_symbol(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
-    """The Fourier multiplier ifft(symbol fft(v)) of each row: symbol is one array of grid.shape,
-    or a (k, *grid.shape) stack inverted in one pass, giving (k, ..., *grid.shape)."""
+def apply_symbol(grid: Grid, values: np.ndarray, symbol: np.ndarray, out=None) -> np.ndarray:
+    """The Fourier multiplier ifft(symbol fft(v)) of each row, in out if given: symbol is one array
+    of grid.shape, or a (k, *grid.shape) stack inverted in one pass, giving (k, ..., *grid.shape)."""
     vhat = fft_trailing(values, grid.d)
     lead = (1,) * (vhat.ndim - grid.d)   # a stack's symbol axis leads the rows' axes
-    out = np.multiply(symbol.reshape(symbol.shape[:-grid.d] + lead + grid.shape), vhat)
+    out = np.multiply(symbol.reshape(symbol.shape[:-grid.d] + lead + grid.shape), vhat, out=out)
     for ax in range(-1, -grid.d - 1, -1):   # in place: a new stack per axis faults in fresh pages
         np.fft.ifft(out, axis=ax, out=out)
     return out

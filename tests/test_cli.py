@@ -174,7 +174,7 @@ class TestSimulate:
         assert summary["direct_boundary_trusted"] == "true"
         assert summary["rescaled_boundary_trusted"] == "true"
 
-    @pytest.mark.parametrize("edit", ["cfl", "snapshot", "not-utf8", "nan-datum"])
+    @pytest.mark.parametrize("edit", ["cfl", "snapshot", "not-utf8", "nan-datum", "nan-noise"])
     def test_solver_and_snapshot_errors_exit_one(self, tmp_path, capsys, edit):
         text = (CONFIGS / "soliton.cfg").read_text()
         if edit == "cfl":       # dt * max|k|^2 = 3.2 on n = 512, L = 40
@@ -186,13 +186,17 @@ class TestSimulate:
             text = text.replace("initial = soliton", f"initial = file\npath = {snap}")
         elif edit == "nan-datum":   # 0/0 at the centre of a width-0 gaussian
             text = text.replace("initial = soliton", "initial = gaussian\nwidth = 0.0")
+        elif edit == "nan-noise":   # the same 0/0 in a noise profile
+            text += "\n[noise.1]\nmu_re = 1.0\nmu_im = 0.0\nprofile = gaussian\nwidth = 0.0\n"
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes((b"\xff\xfe" if edit == "not-utf8" else b"") + text.encode())
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("snls: error:")
+        assert err.startswith("snls: error:") and err.count("\n") == 1   # no warning before it
         if edit == "not-utf8":
             assert str(cfg) in err
+        if edit == "nan-noise":
+            assert "noise profile is non-finite" in err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=1)

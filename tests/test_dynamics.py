@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -19,8 +20,8 @@ from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
                         build_model, eval_W, refine_path, sample_path, step_dW)
-from snls.spectral import (TINY_MODULUS, Field, Grid, NumericFailure, boundary_ratio,
-                           h1_norm, lp_norm, quadrature)
+from snls.spectral import (TINY_MODULUS, Field, Grid, NumericFailure, apply_symbol,
+                           boundary_ratio, h1_norm, lp_norm, quadrature)
 
 GRID = Grid(1, 64, 16.0)
 XI = GRID.meshes[0]
@@ -573,6 +574,88 @@ class TestStepRescaled:
         assert np.max(np.abs(got - expected)) <= 1e-8
 
 
+def rk4_reference(stepper, v, arrays):
+    """The rescaled step in its out-of-place form: a new array for every product,
+    sum and stage, in the operand order the kept-buffer step keeps."""
+    grid, spec, dt = stepper.grid, stepper.spec, stepper.dt
+    *b, c, env = arrays or [None, None]
+
+    def rhs(u):
+        out = 0.0
+        if stepper.flags.linear:
+            Au, *grads = apply_symbol(grid, u, grid.symbols[:1 + len(b)])
+            for b_ax, g in zip(b, grads):
+                Au = Au + np.multiply(b_ax, g)
+            out = np.multiply(-1j, Au if c is None else Au + np.multiply(c, u))
+        if stepper.flags.nonlinear:
+            power = guarded_abs_power(u, spec.alpha - 1.0)
+            factor = power if env is None else env * power
+            out = out - 1j * spec.lam * factor * u
+        return out
+
+    k1 = rhs(v)
+    k2 = rhs(v + (0.5 * dt) * k1)
+    k3 = rhs(v + (0.5 * dt) * k2)
+    k4 = rhs(v + dt * k3)
+    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rescaled_stepper(grid, alpha, flags, n_paths=2, n_steps=5):
+    model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 3.0, (0, 0, 0))),
+                         NoiseMode(0.4, GaussianProfile(1.0, 2.0, (1, 0, 0)))], grid)
+    T = n_steps * 2e-3
+    spec = ProblemSpec(grid, model, alpha, 1, T)
+    paths = [sample_path(model, T, n_steps, seed=11, path_id=i) for i in range(n_paths)]
+    return snls.dynamics._RescaledStepper(spec, paths, flags)
+
+
+class TestRescaledStepBuffers:
+    @pytest.mark.parametrize("alpha", [3.0, 2.5])
+    @pytest.mark.parametrize("grid", [Grid(1, 256, 32.0), Grid(2, 128, 24.0)])
+    def test_bit_equal_to_the_out_of_place_step(self, grid, alpha):
+        # 128 x 128 rows are at NumPy's 256 KiB temporary-elision size; two steps of a
+        # two-row block, then one row leaves it and the kept buffers are rebuilt
+        x = gaussian(grid).values * np.array([[1.0], [0.5 + 0.5j]]).reshape(2, *(1,) * grid.d)
+        for linear, nonlinear, noise, omit in itertools.product((True, False), repeat=4):
+            flags = StepFlags(linear, nonlinear, noise, omit)
+            stepper = rescaled_stepper(grid, alpha, flags)
+            arrays = stepper.path_chunk(0, 3)
+            v = want = x
+            for j, rows in enumerate((slice(None), slice(None), slice(1, 2))):
+                step_arrays = [a[j][rows] for a in arrays]
+                v = stepper.step(v[rows], step_arrays)
+                want = rk4_reference(stepper, want[rows], step_arrays)
+                assert v.tobytes() == want.tobytes(), (flags, j)
+            assert stepper.kept[1].shape == (1, *grid.shape)
+
+    def test_a_step_returns_a_fresh_array(self):
+        stepper = rescaled_stepper(Grid(1, 64, 16.0), 3.0, StepFlags(), n_paths=1)
+        arrays = stepper.path_chunk(0, 2)
+        v = gaussian(Grid(1, 64, 16.0)).values[None]
+        first = stepper.step(v, [a[0] for a in arrays])
+        kept = first.copy()
+        second = stepper.step(first, [a[1] for a in arrays])
+        assert not any(np.shares_memory(out, buf) for out in (first, second)
+                       for buf in stepper.kept)
+        assert first.tobytes() == kept.tobytes()
+
+    def test_second_step_allocates_about_two_states(self):
+        # the first step builds the kept buffers; a later one allocates its forward
+        # transform's two axis passes and its fresh result, not a dozen temporaries
+        grid = Grid(2, 128, 24.0)
+        stepper = rescaled_stepper(grid, 3.0, StepFlags(), n_paths=1)
+        arrays = stepper.path_chunk(0, 2)
+        v = stepper.step(gaussian(grid).values[None], [a[0] for a in arrays])
+        state = v.nbytes
+        tracemalloc.start()
+        try:
+            v = stepper.step(v, [a[1] for a in arrays])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * state
+
+
 class TestTransform:
     def test_roundtrip(self):
         model = build_model([NoiseMode(0.6 + 0.2j, GaussianProfile(1.0, 3.0, (0, 0, 0)))], GRID)
@@ -634,26 +717,70 @@ class TestRescalingEquivalence:
         assert np.median(rates) >= 0.8
 
 
+def stride1_rescaled(grid=Grid(1, 256, 32.0), n_steps=2000):
+    """(trajectory, path, model) of a noisy rescaled solve with every step snapshotted."""
+    model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 4.0, (0, 0, 0)))], grid)
+    T = n_steps * 5e-4
+    spec = ProblemSpec(grid, model, 3.0, -1, T)
+    path = sample_path(model, T, n_steps, seed=3)
+    traj = solve_rescaled(gaussian(grid), path, spec, SolveOptions(stride=1))
+    path.betas    # the path caches its Brownian values: computed before any tracing
+    return traj, path, model
+
+
+class TestRescaledToX:
+    def test_items_slices_and_repeated_walks_are_each_snapshots_y_to_X(self):
+        traj, path, model = stride1_rescaled(n_steps=40)
+        want = [y_to_X(model, path.betas[i], s.values)
+                for i, s in zip(traj.snapshot_indices, traj.snapshots)]
+        Xs = rescaled_to_X(traj, path, model)
+        assert len(Xs) == len(want) == 41
+        for walk in (list(Xs), list(Xs), [Xs[i] for i in range(len(Xs))]):
+            assert [X.values.tobytes() for X in walk] == [w.tobytes() for w in want]
+        assert Xs[-1].values.tobytes() == want[-1].tobytes()
+        assert Xs[-41].values.tobytes() == want[0].tobytes()
+        for sl in (slice(3, 9), slice(None, None, 7), slice(-5, None), slice(8, 2, -2)):
+            got = Xs[sl]
+            assert isinstance(got, list)
+            assert [X.values.tobytes() for X in got] == [w.tobytes() for w in want[sl]]
+        with pytest.raises(IndexError):
+            Xs[41]
+
+
 class TestRescaledToXMemory:
-    def test_peak_is_its_output_plus_a_few_rows(self):
-        # a stride-1 trajectory converts one snapshot at a time: the peak may
-        # exceed the kept X rows by a few rows, never by a W stack of them all
-        grid = Grid(1, 256, 32.0)
-        model = build_model([NoiseMode(0.6 + 0.5j, GaussianProfile(1.0, 4.0, (0, 0, 0)))], grid)
-        spec = ProblemSpec(grid, model, 3.0, -1, 1.0)
-        path = sample_path(model, 1.0, 2000, seed=3)
-        traj = solve_rescaled(gaussian(grid), path, spec, SolveOptions(stride=1))
-        assert len(traj.snapshots) == 2001
-        path.betas    # the path caches its Brownian values: computed before tracing
-        row = grid.n * 16    # bytes of one complex snapshot
+    row = 256 * 16    # bytes of one complex snapshot on the 256-point line
+
+    def traced(self, fn):
         tracemalloc.start()
         try:
-            Xs = rescaled_to_X(traj, path, model)
+            out = fn()
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert current >= len(Xs) * row
-        assert peak - current <= 4 * row
+        return out, current, peak
+
+    def test_building_the_sequence_computes_no_X(self):
+        traj, path, model = stride1_rescaled()
+        assert len(traj.snapshots) == 2001
+        Xs, current, peak = self.traced(lambda: rescaled_to_X(traj, path, model))
+        assert len(Xs) == 2001
+        assert peak < self.row
+
+    def test_a_walk_that_drops_each_X_holds_a_few_rows(self):
+        traj, path, model = stride1_rescaled()
+
+        def walk():
+            return sum(float(np.abs(X.values).max()) for X in rescaled_to_X(traj, path, model))
+
+        _, current, peak = self.traced(walk)
+        assert peak <= 4 * self.row
+
+    def test_peak_is_its_output_plus_a_few_rows(self):
+        # a W stack of all the snapshots at once is never built
+        traj, path, model = stride1_rescaled()
+        Xs, current, peak = self.traced(lambda: list(rescaled_to_X(traj, path, model)))
+        assert current >= len(Xs) * self.row
+        assert peak - current <= 4 * self.row
 
 
 class TestPropagator:
