@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import (ConfigError, RunConfig, SnapshotError, build_initial,
                      build_problem, parse_config, solve_options, write_snapshot)
-from .dynamics import CFLError, NoContractionError, RegimeError, Trajectory, solve_block
+from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory, each_chunk,
+                       solve_block, solve_chunks)
 from .identities import ALL_IDENTITIES
 from .montecarlo import (EnsembleConfig, convergence_order, identity_ladder,
                          martingale_test, moment_monitor, run_ensemble)
@@ -78,14 +79,14 @@ def _relative_drift(series: np.ndarray) -> float:
 
 def cmd_simulate(args) -> int:
     cfg, out, spec, x = _setup(args)
-    summary = ["command=simulate", f"seed={cfg.run.seed}",
-               f"regime={cfg.regime.tag}"]
+    summary = ["command=simulate", f"seed={cfg.run.seed}", f"regime={cfg.regime.tag}"]
     path = sample_path(spec.model, spec.T, cfg.n_steps, cfg.run.seed)
     code = 0
     for scheme in _schemes(cfg):
-        ratios = []   # X's boundary ratio at each kept row; the diagnostics are y's
-        (traj,) = solve_block(x, [path], spec, solve_options(cfg), scheme,
-                              lambda t, b, X: ratios.extend(boundary_ratios(spec.grid, np.abs(X))))
+        trajs = []   # the boundary ratio is X's, at each kept row; the diagnostics are y's
+        boundary_max = max(float(np.max(boundary_ratios(spec.grid, np.abs(X)))) for _, _, X in
+                           each_chunk(solve_chunks(x, [path], spec, solve_options(cfg), scheme), trajs))
+        (traj,) = trajs
         _write_diagnostics(os.path.join(out, f"diagnostics_{scheme}.csv"), traj)
         for idx, snap in zip(traj.snapshot_indices, traj.snapshots):
             write_snapshot(os.path.join(out, f"snapshot_{scheme}_{idx:06d}.bin"),
@@ -95,10 +96,9 @@ def cmd_simulate(args) -> int:
             summary.append(f"{scheme}_blowup_time={traj.status.t!r}")
             summary.append(f"{scheme}_blowup_reason={traj.status.reason}")
             code = 2
-        for name in ("mass", "hamiltonian"):
-            drift = _relative_drift(traj.diagnostic(name))
-            summary.append(f"{scheme}_{name}_drift_rel={drift!r}")
-        summary.extend(_trust_lines(float(np.max(ratios)), f"{scheme}_"))
+        summary += [f"{scheme}_{name}_drift_rel={_relative_drift(traj.diagnostic(name))!r}"
+                    for name in ("mass", "hamiltonian")]
+        summary.extend(_trust_lines(boundary_max, f"{scheme}_"))
     summary.append(f"exit_code={code}")
     _write_summary(out, summary)
     return code
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, SnapshotError, RegimeError, NoContractionError, CFLError,
-            NumericFailure, OSError) as exc:
+            NumericFailure, OSError, MemoryError) as exc:
         print(f"snls: error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,6 +76,10 @@ class RunSection:
     flags: StepFlags = StepFlags()
     threads: int = 0          # 0 = automatic width
 
+    def __post_init__(self):   # noise streams are keyed on 64 bits: a wider seed would alias
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError(f"seed {self.seed} is outside [0, 2**64)")
+
 
 @dataclass(frozen=True)
 class VerifySection:
@@ -256,6 +260,11 @@ def _validate(cfg: RunConfig):
     """The rules that span keys; each key's own rule is its row's kind."""
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
+    levels = max(cfg.verify.levels, 3)   # convergence runs solve at least 3 levels
+    if not cfg.T / cfg.dt <= np.iinfo(np.intp).max >> (levels - 1):
+        raise ConfigError(f"dt = {cfg.dt} gives T/dt = {cfg.T / cfg.dt:.6g} steps, and "
+                          f"2**{levels - 1} times that at the finest of {levels} levels: "
+                          f"more than numpy can index")
     if cfg.initial.kind == "file" and not cfg.initial.path:
         raise ConfigError("initial = file needs a 'path' key in [problem]")
     if cfg.regime.tag == "out-of-range":

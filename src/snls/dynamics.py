@@ -21,6 +21,7 @@ threshold-based blowup detection.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -187,10 +188,6 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # diagnostics and blowup monitoring
-
-def _critical_spacetime_exponent(d: int) -> float:
-    return 2.0 * (d + 2) / (d - 2)
-
 
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
@@ -442,24 +439,11 @@ def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
 _STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
 
 
-def solve_block(x, paths: list, spec: ProblemSpec,
-                options: SolveOptions = SolveOptions(),
-                scheme: str = "direct", consume=None) -> list:
-    """Integrate one scheme along each of `paths` (one time grid), stepped as
-    one block from x: one Field for every path, or a (B, *grid.shape) stack of
-    one initial state per path.  One Trajectory per path (y-variables for the
-    rescaled scheme); each keeps its own finite check, blowup crossing, status
-    and stop index.  Steps run in chunks of chunk_steps(B, grid): the stepper
-    maps the chunk's path work once, and the finite check and the diagnostics of
-    its stacked states run once, their rows passing through the blowup monitor
-    in time order.  A path stops at its first event; later rows are dropped and
-    its row leaves the block.  A path's kept rows are those before its stop, and
-    a blowup row; snapshots are taken from them.  consume(t, b, X), if given,
-    sees the kept rows of row 0, then of each chunk, as X (e^W y for the rescaled
-    scheme): X[i] is path b[i] at time index t[i]."""
+def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, scheme: str):
+    """solve_block's solve: yields row 0 (start -1), then each chunk, as (start, live, states,
+    events), states[j] holding the paths `live` after step start + j + 1; returns the trajectories."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
-        raise RegimeError(
-            f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
+        raise RegimeError(f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not paths or len({(p.n_steps, p.dt) for p in paths}) != 1:
@@ -467,7 +451,7 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
     chunk = chunk_steps(n_paths, grid)
     stepper = _STEPPERS[scheme](spec, paths, options.flags)
-    q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
+    q1 = 2.0 * (spec.d + 2) / (spec.d - 2) if spec.regime.tag == REGIME_ENERGY_CRIT else None
     x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
     v = np.array(x0, dtype=np.complex128, order="C")
     row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
@@ -479,21 +463,21 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
     live = np.arange(n_paths)   # the path of each row of the block
-    betas = np.stack([p.betas for p in paths], axis=1) if consume and scheme == "rescaled" else None
 
-    def hand_off(t, b, rows):   # snapshots: the kept rows due by stride, and a blowup row
-        if options.record_snapshots:
-            for i, (ti, bi) in enumerate(zip(t.tolist(), b.tolist())):
-                if ti % options.stride == 0 or ti == last[bi] and statuses[bi].is_blowup:
-                    snaps[bi].append((ti, rows[i].copy()))
-        if consume:
-            consume(t, b, rows if betas is None else y_to_X(spec.model, betas[t, b], rows))
+    def hand_off(start, states, events):   # after the snapshots of its kept rows
+        for r, b in enumerate(live.tolist() if options.record_snapshots else []):
+            stop, kind, _ = events.get(r, (len(states), None, None))
+            for j in range(stop + (kind == "blowup")):   # due by stride, or the blowup row
+                if (start + 1 + j) % options.stride == 0 or j == stop:
+                    snaps[b].append((start + 1 + j, states[j, r].copy()))
+        return start, live, states, events
 
-    hand_off(np.zeros(n_paths, dtype=int), live, v)
-    # a path's state may overflow before its non-finite row stops it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, n_steps, chunk):
-            k = min(chunk, n_steps - start)
+    yield hand_off(-1, v[None], {})
+    for start in range(0, n_steps, chunk):
+        k = min(chunk, n_steps - start)
+        # a path's state may overflow before its non-finite row stops it; the
+        # caller's error state is back before the chunk is handed off
+        with np.errstate(over="ignore", invalid="ignore"):
             states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
             arrays = stepper.path_chunk(start, k, live)
             for j in range(k):
@@ -507,30 +491,62 @@ def solve_block(x, paths: list, spec: ProblemSpec,
             for key, r in rows.items():
                 series[key][live, start + 1:start + k + 1] = r.T
             events = monitor.scan(stepper.dt, rows, failed, live)
-            for row, (stop, kind, reason) in events.items():
-                b = live[row]
-                last[b] = start + stop + 1
-                statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
-            if options.record_snapshots or consume:
-                kept = np.full(len(live), k)
-                kept[list(events)] = [stop + (kind == "blowup") for stop, kind, _ in events.values()]
-                mask = np.arange(k)[:, None] < kept
-                j, r = np.nonzero(mask)
-                if len(j):   # none when every row fails at the chunk's first step
-                    hand_off(start + 1 + j, live[r],
-                             states[mask] if events else states.reshape(-1, *grid.shape))
-            if events:   # a stopped path's row leaves the block
-                keep = [row for row in range(len(live)) if row not in events]
-                if not keep:
-                    break
-                live, v = live[keep], v[keep]
-                if stepper.phase is not None:
-                    stepper.phase = stepper.phase[keep]
+        for row, (stop, kind, reason) in events.items():
+            b = live[row]
+            last[b] = start + stop + 1
+            statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
+        yield hand_off(start, states, events)
+        if events:   # a stopped path's row leaves the block
+            keep = [row for row in range(len(live)) if row not in events]
+            if not keep:
+                break
+            live, v = live[keep], v[keep]
+            if stepper.phase is not None:
+                stepper.phase = stepper.phase[keep]
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
                        {k: s[b, :last[b] + 1] for k, s in series.items()},
                        [i for i, _ in snaps[b]], [Field(grid, a) for _, a in snaps[b]],
                        statuses[b], options.flags)
             for b, path in enumerate(paths)]
+
+
+def each_chunk(chunks, trajectories: list):
+    """A solve_chunks generator's chunks; then `trajectories` holds the ones it returns."""
+    trajectories[:] = yield from chunks
+
+
+def solve_chunks(x, paths: list, spec: ProblemSpec,
+                 options: SolveOptions = SolveOptions(), scheme: str = "direct"):
+    """solve_block, yielding the kept rows of row 0 and then of each chunk that has one
+    as (t, b, X): X[i] is path b[i] at time index t[i], e^W y for the rescaled scheme.
+    It returns the trajectories, and hands each chunk over in the caller's error state."""
+    trajectories, betas = [], None
+    for start, live, states, events in each_chunk(_block_chunks(x, paths, spec, options, scheme),
+                                                  trajectories):
+        kept = np.full(len(live), len(states))
+        kept[list(events)] = [stop + (kind == "blowup") for stop, kind, _ in events.values()]
+        j, r = np.nonzero(np.arange(len(states))[:, None] < kept)
+        t, b = start + 1 + j, live[r]
+        X = states[j, r] if events else states.reshape(-1, *states.shape[2:])
+        if len(t) and scheme == "rescaled":   # a kept row's e^W may overflow as its next state
+            betas = np.stack([p.betas for p in paths], axis=1) if betas is None else betas
+            with np.errstate(over="ignore", invalid="ignore"):
+                X = y_to_X(spec.model, betas[t, b], X)
+        if len(t):
+            yield t, b, X
+    return trajectories
+
+
+def solve_block(x, paths: list, spec: ProblemSpec,
+                options: SolveOptions = SolveOptions(), scheme: str = "direct") -> list:
+    """Integrate one scheme along each of `paths` (one time grid) from x (one Field, or one
+    initial state per path) as one (B, *grid.shape) block, in chunks of chunk_steps(B, grid).
+    One Trajectory per path (y for the rescaled scheme): a path stops at its first event
+    (non-finite state or blowup crossing), keeping its rows before it and a blowup row, from
+    which snapshots are taken, and its row leaves the block.  solve_chunks yields the kept rows."""
+    trajectories = []
+    deque(each_chunk(_block_chunks(x, paths, spec, options, scheme), trajectories), maxlen=0)
+    return trajectories
 
 
 def solve_direct(x: Field, path: WienerPath, spec: ProblemSpec,
@@ -621,9 +637,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
     if window_policy not in ("adaptive", "fixed"):
         raise ValueError(f"unknown window policy {window_policy!r}")
     grid, dt = spec.grid, path.dt
-    if tau is None:
-        tau = path.horizon
-    K = int(round(tau / dt))
+    K = int(round((path.horizon if tau is None else tau) / dt))
     if K < 1 or K > path.n_steps:
         raise ValueError(f"window tau={tau} not representable on the path grid")
 
@@ -639,9 +653,7 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
             u[i + 1] = stepper.step_at(u[i:i + 1], i)[0]
         envs = np.exp((spec.alpha - 1.0) * _mode_sum(path.betas[:K + 1], spec.model.phi_stack).real)
 
-        y = u.copy()
-        distances = []
-        converged = False
+        y, distances = u.copy(), []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 f = envs * guarded_abs_power(y, spec.alpha - 1.0) * y
@@ -655,11 +667,9 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                 dist = float(np.sqrt(quadrature(grid, guarded_abs_power(diff, 2.0))).max())
                 distances.append(dist)
                 y = new
-                if not math.isfinite(dist):
-                    break            # diverged; window cannot be accepted
-                if dist < tol:
-                    converged = True
-                    break
+                if not math.isfinite(dist) or dist < tol:
+                    break            # diverged (the window cannot be accepted), or converged
+        converged = bool(distances) and distances[-1] < tol
         # contraction factor over pre-floor pairs
         factor = 0.0
         for a, b in zip(distances, distances[1:]):

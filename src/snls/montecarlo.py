@@ -5,9 +5,9 @@ index) and are solved in consecutive blocks whose sizes depend on the grid,
 the path count and the parallel width, while a path's bits depend on neither
 its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
-The identity ladder, the continuity probe and convergence_order read
-solve_block's kept rows as X while they are solved; convergence_order keeps
-only its finest level's X at the compared times.
+The identity ladder, the continuity probe and convergence_order loop over
+solve_chunks' kept rows as X while they are solved; convergence_order steps its
+levels in lockstep and keeps only the rows some level has not yet passed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError
-from .dynamics import BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, solve_block
+from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, each_chunk,
+                       solve_block, solve_chunks)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
 from .identities import TERMS, _report
@@ -88,10 +89,8 @@ class EnsembleReport:
         return np.sqrt(self.variance(obs) / finite)
 
     def to_csv(self, path):
-        names = list(self.per_path)
-        header = ["t"]
-        cols = [self.times]
-        for obs in names:
+        header, cols = ["t"], [self.times]
+        for obs in self.per_path:
             header += [f"{obs}_mean", f"{obs}_var", f"{obs}_ci3"]
             cols += [self.mean(obs), self.variance(obs), 3.0 * self.stderr(obs)]
         with open(path, "w") as fh:
@@ -140,8 +139,7 @@ def _map_blocks(task, config: EnsembleConfig, block: int) -> list:
 
 
 def _ensemble_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
-    *_, paths = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids,
-                             config.levels)
+    *_, paths = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
     n_times = paths[0].n_steps + 1
     return [({obs: np.concatenate([tr.diagnostic(obs), np.full(n_times - len(tr.times), np.nan)])
               for obs in config.observables}, tr.status)
@@ -154,12 +152,9 @@ def run_ensemble(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> Ensembl
         raise ValueError("need at least one path")
     results = _map_blocks(partial(_ensemble_block, x, spec, config), config,
                           block_size(spec.grid, ENSEMBLE_POINTS))
-    n_times = config.n_steps * 2 ** (config.levels - 1) + 1
-    times = np.linspace(0.0, spec.T, n_times)
-    per_path = {obs: np.vstack([r[0][obs] for r in results])
-                for obs in config.observables}
-    statuses = [r[1] for r in results]
-    return EnsembleReport(times, per_path, statuses, config)
+    times = np.linspace(0.0, spec.T, config.n_steps * 2 ** (config.levels - 1) + 1)
+    per_path = {obs: np.vstack([r[0][obs] for r in results]) for obs in config.observables}
+    return EnsembleReport(times, per_path, [r[1] for r in results], config)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +183,7 @@ def martingale_test(report: EnsembleReport, initial_mass: float,
     """
     if report.n_paths < 100:
         raise ValueError("martingale test needs at least 100 paths")
-    n_times = len(report.times)
-    idx = np.unique(np.linspace(1, n_times - 1, n_checkpoints).astype(int))
+    idx = np.unique(np.linspace(1, len(report.times) - 1, n_checkpoints).astype(int))
     mean = report.mean("mass")[idx]
     se = report.stderr("mass")[idx]
     b = np.zeros(len(idx)) if bias is None else np.asarray(bias, dtype=float)
@@ -207,8 +201,7 @@ def estimate_mass_bias(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     |mean mass at dt - mean mass at dt/2| at the shared checkpoints."""
     coarse = run_ensemble(x, spec, config)
     fine = run_ensemble(x, spec, replace(config, levels=config.levels + 1))
-    n_times = len(coarse.times)
-    idx = np.unique(np.linspace(1, n_times - 1, n_checkpoints).astype(int))
+    idx = np.unique(np.linspace(1, len(coarse.times) - 1, n_checkpoints).astype(int))
     return np.abs(coarse.mean("mass")[idx] - fine.mean("mass")[2 * idx])
 
 
@@ -237,9 +230,7 @@ def moment_monitor(report: EnsembleReport, p: float, alpha: float) -> MomentRepo
     """
     if any(s.kind != "finished" for s in report.statuses):
         return MomentReport(p, math.nan, math.nan, True)
-    mass = report.per_path["mass"]
-    h1 = report.per_path["h1"]
-    lp = report.per_path["lp"]
+    mass, h1, lp = (report.per_path[obs] for obs in ("mass", "h1", "lp"))
     grad_l2 = h1 - np.sqrt(mass)
     sup_mass_p = np.max(mass ** (p / 2.0), axis=1)
     sup_energy = np.max(grad_l2 ** 2 + lp ** (alpha + 1.0), axis=1)
@@ -270,31 +261,37 @@ class ConvergenceReport:
 
 def _convergence_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                        sup_over_time: bool, ids) -> list:
-    """Per path, its error at each coarser level, or None if it did not finish every
-    level: the finest level runs first and keeps its X at the compared times; each
-    coarser level's X there raises a running max of its L2 distance to them."""
-    ladder = list(ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids,
-                               config.levels))
-    errors = np.zeros((len(ids), config.levels - 1))
-    finished = np.ones(len(ids), dtype=bool)
-    finest = np.zeros((len(ids), config.n_steps + 1 if sup_over_time else 2, *spec.grid.shape),
-                      dtype=np.complex128)
-
-    def consume(t, b, X):
-        due = t % stride == 0
-        t, b, X = t[due] // stride, b[due], X[due]
-        if level == config.levels - 1:
-            finest[b, t] = X
-        else:
-            diff = np.abs(X - finest[b, t]) ** 2
-            np.maximum.at(errors[:, level], b, np.sqrt(quadrature(spec.grid, diff)))
-
-    for level in reversed(range(config.levels)):
-        paths = ladder[level]
-        # sup-in-t compares at every base-grid time; the default at the horizon only
-        stride = 2 ** level if sup_over_time else paths[0].n_steps
-        finished &= [traj.status.kind == "finished" for traj in solve_block(
-            x, paths, spec, replace(config.options, record_snapshots=False), config.scheme, consume)]
+    """Per path, its error at each coarser level, or None if it did not finish every level.
+    Levels step in lockstep, furthest behind in base time first, until all pass base index i
+    (row i * strides[l] at level l); each coarser X there raises its max distance to the finest's."""
+    B, opts = len(ids), replace(config.options, record_snapshots=False)
+    solves = [solve_chunks(x, paths, spec, opts, config.scheme) for paths in ladder_paths(
+        spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)]
+    # sup-in-t compares at every base-grid time; the default at the horizon only
+    strides = [2 ** lv * (1 if sup_over_time else config.n_steps) for lv in range(config.levels)]
+    passed = np.full(config.levels, -1.0)   # the base time each level's rows have reached
+    # each level's rows not yet compared, as base index * B + path and X, in that order
+    waiting = [(np.empty(0, dtype=int), np.empty((0, *spec.grid.shape), complex))] * config.levels
+    errors, finished = np.zeros((B, config.levels - 1)), np.ones(B, dtype=bool)
+    for i in range(config.n_steps + 2 if sup_over_time else 3):   # the last one drains
+        while passed.min() < i:
+            level = int(passed.argmin())
+            try:
+                t, b, X = next(solves[level])
+            except StopIteration as done:
+                finished &= [traj.status.kind == "finished" for traj in done.value]
+                passed[level] = math.inf
+                continue
+            passed[level], due = t[-1] / strides[level], t % strides[level] == 0
+            waiting[level] = [np.concatenate(pair) for pair in zip(
+                waiting[level], (t[due] // strides[level] * B + b[due], X[due]))]
+        n = [np.searchsorted(key, (i + 1) * B) for key, _ in waiting]   # the rows at base index i
+        top, finest = (a[:n[-1]] for a in waiting[-1])
+        for level, ((key, rows), m) in enumerate(zip(waiting[:-1], n)):
+            _, mine, theirs = np.intersect1d(key[:m], top, assume_unique=True, return_indices=True)
+            diff = np.abs(rows[mine] - finest[theirs]) ** 2
+            np.maximum.at(errors[:, level], key[mine] % B, np.sqrt(quadrature(spec.grid, diff)))
+        waiting = [(key[m:], rows[m:]) for m, (key, rows) in zip(n, waiting)]
     return [e if ok else None for e, ok in zip(errors, finished)]
 
 
@@ -302,10 +299,10 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                       sup_over_time: bool = False) -> ConvergenceReport:
     """Strong L2 errors against the finest of `levels` coupled dt levels,
     with the fitted log2 slope.  Errors are taken at the horizon unless
-    sup_over_time is set, which compares at every base-grid time and keeps
-    the finest level's X at each of them.  A path that does not finish at
-    every level is left out of the errors and makes the report inconclusive;
-    RegimeError if no path finishes."""
+    sup_over_time is set, which compares at every base-grid time; the levels
+    run side by side and no level's X is kept whole.  A path that does not
+    finish at every level is left out of the errors and makes the report
+    inconclusive; RegimeError if no path finishes."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
     results = _map_blocks(partial(_convergence_block, x, spec, config, sup_over_time), config,
@@ -345,27 +342,23 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
     """Per path, each identity's |terminal| and sup_t |residual| at each level, its
     largest boundary ratio of X, its finest reports if it is path 0, and its statuses:
     the per-path series of the term functions of each chunk's kept rows, as X."""
-    terminal = np.zeros((len(ids), len(TERMS), config.levels))
-    sup = np.zeros_like(terminal)
+    terminal, sup = np.zeros((2, len(ids), len(TERMS), config.levels))
     boundary = np.zeros((len(ids), config.levels))
     statuses = np.empty((len(ids), config.levels), dtype=object)
     finest = [None] * len(ids)
-
-    def consume(t, b, X):
-        np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
-        np.add.at(count, b, 1)
-        for name, terms in TERMS.items():
-            for key, rows in terms(X, db[t, b], dt, spec.model, spec, config.options.flags).items():
-                series[name][key][b, t] = rows
-
+    opts = replace(config.options, record_snapshots=False)
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
     for level, paths in enumerate(ladder):
-        dt, count = paths[0].dt, np.zeros(len(ids), dtype=int)
+        dt, count, trajs = paths[0].dt, np.zeros(len(ids), dtype=int), []
         db = np.zeros((paths[0].n_steps + 1, len(ids), spec.model.n_modes))
         db[:-1] = np.stack([p.increments for p in paths], axis=1)   # the last row starts none
         series = {name: defaultdict(partial(np.empty, (len(ids), len(db)))) for name in TERMS}
-        trajs = solve_block(x, paths, spec, replace(config.options, record_snapshots=False),
-                            config.scheme, consume)
+        for t, b, X in each_chunk(solve_chunks(x, paths, spec, opts, config.scheme), trajs):
+            np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
+            np.add.at(count, b, 1)
+            for name, terms in TERMS.items():
+                for key, rows in terms(X, db[t, b], dt, spec.model, spec, config.options.flags).items():
+                    series[name][key][b, t] = rows
         for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
             reports = {name: _report(name, path.times[:m], path,
                                      {k: s[b, :m].copy() for k, s in series[name].items()})
@@ -410,16 +403,14 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
     starts = np.stack([x.values] + [x.values + d * direction.values for d in deltas])
     (paths,) = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, 1)
     paths = [path for path in paths for _ in starts]
-    sup = np.zeros((len(ids), len(deltas)))
-
-    def consume(t, b, X):
+    sup, trajs = np.zeros((len(ids), len(deltas))), []
+    opts = replace(config.options, record_snapshots=False)
+    for t, b, X in each_chunk(solve_chunks(np.concatenate([starts] * len(ids)), paths, spec, opts,
+                                           config.scheme), trajs):
         if len(X) == len(paths) * len(np.unique(t)):   # else a run has stopped: the probe fails below
             X = X.reshape(-1, len(ids), len(starts), *spec.grid.shape)
             for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
                 np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)
-
-    trajs = solve_block(np.concatenate([starts] * len(ids)), paths, spec,
-                        replace(config.options, record_snapshots=False), config.scheme, consume)
     for a, traj in enumerate(trajs):
         if traj.status.kind != "finished":
             run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"

@@ -174,12 +174,15 @@ class TestSimulate:
         assert summary["direct_boundary_trusted"] == "true"
         assert summary["rescaled_boundary_trusted"] == "true"
 
-    @pytest.mark.parametrize("edit", ["cfl", "snapshot", "not-utf8", "nan-datum", "nan-noise"])
+    @pytest.mark.parametrize("edit", ["cfl", "snapshot", "not-utf8", "nan-datum", "nan-noise",
+                                      "tiny-dt"])
     def test_solver_and_snapshot_errors_exit_one(self, tmp_path, capsys, edit):
         text = (CONFIGS / "soliton.cfg").read_text()
         if edit == "cfl":       # dt * max|k|^2 = 3.2 on n = 512, L = 40
             text = text.replace("scheme = direct", "scheme = rescaled") \
                        .replace("dt = 1e-3", "dt = 2e-3")
+        elif edit == "tiny-dt":   # more steps than numpy can index, rejected before any array
+            text = text.replace("dt = 1e-3", "dt = 1e-300")
         elif edit == "snapshot":
             snap = tmp_path / "short.bin"
             snap.write_bytes(b"SNLS\x01\x00\x01")
@@ -197,6 +200,32 @@ class TestSimulate:
             assert str(cfg) in err
         if edit == "nan-noise":
             assert "noise profile is non-finite" in err
+        if edit == "tiny-dt":
+            assert "dt = 1e-300" in err
+
+    @pytest.mark.parametrize("command,solver", [("simulate", "solve_chunks"),
+                                                ("convergence", "convergence_order")])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, monkeypatch, command, solver):
+        # a solve numpy cannot allocate: raised here, since a real one is an OOM kill on
+        # a host that overcommits memory
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 PiB for an array")
+
+        monkeypatch.setattr(snls.cli, solver, no_memory)
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=3, paths=1)
+        assert main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "snls: error: Unable to allocate 1.00 PiB for an array\n"
+
+    @pytest.mark.parametrize("where,seed", [("config", "18446744073709551616"), ("config", "-1"),
+                                            ("flag", "18446744073709551624"), ("flag", "-1")])
+    def test_seed_outside_u64_exits_one(self, tmp_path, capsys, where, seed):
+        # the noise streams are keyed on 64 bits: 2**64 + 8 would alias seed 8
+        text = NOISY_CFG.replace("seed = 4", f"seed = {seed}") if where == "config" else NOISY_CFG
+        cfg = write_cfg(tmp_path, text, m=1, levels=1, paths=1)
+        flag = ["--seed", seed] if where == "flag" else []
+        assert main(["simulate", "--config", cfg] + flag) == 1
+        assert capsys.readouterr().err == f"snls: error: seed {seed} is outside [0, 2**64)\n"
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=2, paths=1)

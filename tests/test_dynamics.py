@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ import snls.dynamics
 from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
                            RegimeError, SolveOptions, StepFlags,
                            BlowupThresholds, chunk_steps, classify, detect_blowup,
-                           guarded_abs_power, is_strichartz_pair, picard_solve,
+                           each_chunk, guarded_abs_power, is_strichartz_pair, picard_solve,
                            propagator_apply, rescaled_coefficients,
-                           rescaled_to_X, solve_block, solve_direct,
+                           rescaled_to_X, solve_block, solve_chunks, solve_direct,
                            solve_rescaled, step_direct, step_rescaled,
                            transform, y_to_X)
 from snls.functionals import hamiltonian, mass
@@ -423,15 +425,15 @@ class TestChunkInvariance:
         for K in (1, 3, chunk_steps(n_paths, grid)):
             monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", K * n_paths * grid.n ** grid.d)
             assert chunk_steps(n_paths, grid) == K
-            calls = []
-            runs[K] = solve_block(x, paths, spec, opts, scheme,
-                                  lambda t, b, X: calls.append((t.copy(), b.copy(), X.copy())))
+            calls, runs[K] = [], []
+            for t, b, X in each_chunk(solve_chunks(x, paths, spec, opts, scheme), runs[K]):
+                calls.append((t.copy(), b.copy(), X.copy()))
             assert all(len(t) for t, _, _ in calls)   # a chunk with no kept row hands nothing
             t, b, X = (np.concatenate(a) for a in zip(*calls))
             order = np.lexsort((t, b))   # by path, then by time
             seen[K] = t[order], b[order], X[order]
         want = runs.pop(1)
-        # the consumer sees each path's kept rows once, as X: those before its stop,
+        # the loop sees each path's kept rows once, as X: those before its stop,
         # and a blowup row; a snapshot is its row's X
         t, b, X = seen.pop(1)
         kept = [len(tr.times) - (tr.status.kind == "numeric-failure") for tr in want]
@@ -485,6 +487,61 @@ class TestChunkInvariance:
             assert second.diagnostic(name).tobytes() == solo.diagnostic(name).tobytes()
         for p, q in zip(second.snapshots, solo.snapshots, strict=True):
             assert p.values.tobytes() == q.values.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    @pytest.mark.parametrize("case", ["real", "blowup", "non-finite"])
+    def test_solve_block_drains_the_chunk_generator(self, monkeypatch, case, scheme):
+        # the generator's trajectories, with no y_to_X work when nothing reads X
+        spec, x, paths, opts, _ = chunk_case(case)
+        want = []
+        for _ in each_chunk(solve_chunks(x, paths, spec, opts, scheme), want):
+            pass
+        monkeypatch.setattr(snls.dynamics, "y_to_X", None)
+        for a, b in zip(solve_block(x, paths, spec, opts, scheme), want, strict=True):
+            assert a.status == b.status and a.snapshot_indices == b.snapshot_indices
+            for name in b.diagnostics:
+                assert a.diagnostic(name).tobytes() == b.diagnostic(name).tobytes()
+            for p, q in zip(a.snapshots, b.snapshots, strict=True):
+                assert p.values.tobytes() == q.values.tobytes()
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    @pytest.mark.parametrize("case", ["real", "non-finite"])
+    def test_the_loop_body_keeps_the_callers_error_state(self, case, scheme):
+        # the solver ignores overflow only while it steps a chunk, never while it is suspended
+        spec, x, paths, opts, _ = chunk_case(case)
+        with np.errstate(over="raise", invalid="raise"):
+            caller, seen = np.geterr(), []
+            for _ in each_chunk(solve_chunks(x, paths, spec, opts, scheme), []):
+                seen.append(np.geterr())
+            assert len(seen) > 1 and seen == [caller] * len(seen) and np.geterr() == caller
+
+
+def _errstate_yields(tree):
+    """The line of each yield inside a `with np.errstate(...)` block or an errstate-decorated
+    function of an AST, and the number of such blocks."""
+    def errstate(node):
+        func = getattr(node, "func", None)
+        return isinstance(node, ast.Call) and "errstate" in (getattr(func, "id", None),
+                                                             getattr(func, "attr", None))
+    lines, blocks = [], 0
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.With) and any(errstate(item.context_expr) for item in node.items)
+                or isinstance(node, ast.FunctionDef) and any(map(errstate, node.decorator_list))):
+            blocks += 1
+            lines += [n.lineno for stmt in node.body for n in ast.walk(stmt)
+                      if isinstance(n, (ast.Yield, ast.YieldFrom))]
+    return lines, blocks
+
+
+def test_no_yield_inside_an_errstate_block():
+    # a generator suspended inside np.errstate hands its error state to the caller's
+    # loop body, and two interleaved ones leave it set after both finish
+    src = Path(__file__).resolve().parents[1] / "src" / "snls"
+    found = {path.name: _errstate_yields(ast.parse(path.read_text())) for path in src.glob("*.py")}
+    assert {name: lines for name, (lines, _) in found.items() if lines} == {}
+    assert found["dynamics.py"][1] >= 2
+    assert _errstate_yields(ast.parse("def f():\n    with np.errstate(over='ignore'):\n"
+                                      "        yield 1\n")) == ([3], 1)
 
 
 class TestRescaledCoefficients:
