@@ -15,8 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import (ConfigError, RunConfig, SnapshotError, build_initial,
-                     build_problem, parse_config, solve_options, write_snapshot)
+from .config import (ConfigError, RunConfig, SnapshotError, build_initial, build_problem,
+                     check_levels, parse_config, solve_options, write_snapshot)
 from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory, each_chunk,
                        solve_block, solve_chunks)
 from .identities import ALL_IDENTITIES
@@ -79,13 +79,15 @@ def _relative_drift(series: np.ndarray) -> float:
 
 def cmd_simulate(args) -> int:
     cfg, out, spec, x = _setup(args)
-    summary = ["command=simulate", f"seed={cfg.run.seed}", f"regime={cfg.regime.tag}"]
+    summary = ["command=simulate", f"seed={cfg.run.seed}",
+               f"regime={cfg.regime.tag}"]
     path = sample_path(spec.model, spec.T, cfg.n_steps, cfg.run.seed)
     code = 0
     for scheme in _schemes(cfg):
-        trajs = []   # the boundary ratio is X's, at each kept row; the diagnostics are y's
-        boundary_max = max(float(np.max(boundary_ratios(spec.grid, np.abs(X)))) for _, _, X in
-                           each_chunk(solve_chunks(x, [path], spec, solve_options(cfg), scheme), trajs))
+        ratios, trajs = [], []   # X's largest boundary ratio in each chunk; the diagnostics are y's
+        for _, _, X in each_chunk(solve_chunks(x, [path], spec, solve_options(cfg), scheme), trajs):
+            with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
+                ratios.append(np.max(boundary_ratios(spec.grid, np.abs(X))))
         (traj,) = trajs
         _write_diagnostics(os.path.join(out, f"diagnostics_{scheme}.csv"), traj)
         for idx, snap in zip(traj.snapshot_indices, traj.snapshots):
@@ -96,9 +98,10 @@ def cmd_simulate(args) -> int:
             summary.append(f"{scheme}_blowup_time={traj.status.t!r}")
             summary.append(f"{scheme}_blowup_reason={traj.status.reason}")
             code = 2
-        summary += [f"{scheme}_{name}_drift_rel={_relative_drift(traj.diagnostic(name))!r}"
-                    for name in ("mass", "hamiltonian")]
-        summary.extend(_trust_lines(boundary_max, f"{scheme}_"))
+        for name in ("mass", "hamiltonian"):
+            drift = _relative_drift(traj.diagnostic(name))
+            summary.append(f"{scheme}_{name}_drift_rel={drift!r}")
+        summary.extend(_trust_lines(float(np.max(ratios)), f"{scheme}_"))
     summary.append(f"exit_code={code}")
     _write_summary(out, summary)
     return code
@@ -125,6 +128,7 @@ def cmd_ensemble(args) -> int:
 def cmd_verify_identities(args) -> int:
     cfg, out, spec, x = _setup(args)
     levels, n_paths = cfg.verify.levels, cfg.verify.paths
+    check_levels(cfg, levels)
     ladder = identity_ladder(x, spec, _ensemble_config(cfg, _schemes(cfg)[0],
                                                        n_paths=n_paths, levels=levels))
 
@@ -158,6 +162,7 @@ def cmd_verify_identities(args) -> int:
 def cmd_convergence(args) -> int:
     cfg, out, spec, x = _setup(args)
     levels = max(3, cfg.verify.levels)
+    check_levels(cfg, levels)
     summary = ["command=convergence", f"seed={cfg.run.seed}", f"levels={levels}"]
     for scheme in _schemes(cfg):
         rep = convergence_order(x, spec, _ensemble_config(cfg, scheme, levels=levels))
@@ -173,6 +178,7 @@ def cmd_convergence(args) -> int:
 def cmd_blowup_scan(args) -> int:
     cfg, out, spec, x = _setup(args)
     levels = max(2, cfg.verify.levels)
+    check_levels(cfg, levels)
     opts = solve_options(cfg, record_snapshots=False)
     summary = ["command=blowup-scan", f"seed={cfg.run.seed}",
                f"regime={cfg.regime.tag}"]

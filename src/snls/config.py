@@ -260,15 +260,21 @@ def _validate(cfg: RunConfig):
     """The rules that span keys; each key's own rule is its row's kind."""
     if cfg.dt > cfg.T:
         raise ConfigError(f"dt = {cfg.dt} exceeds the horizon T = {cfg.T}")
-    levels = max(cfg.verify.levels, 3)   # convergence runs solve at least 3 levels
-    if not cfg.T / cfg.dt <= np.iinfo(np.intp).max >> (levels - 1):
-        raise ConfigError(f"dt = {cfg.dt} gives T/dt = {cfg.T / cfg.dt:.6g} steps, and "
-                          f"2**{levels - 1} times that at the finest of {levels} levels: "
+    if not cfg.T / cfg.dt <= np.iinfo(np.intp).max:
+        raise ConfigError(f"dt = {cfg.dt} gives T/dt = {cfg.T / cfg.dt:.6g} steps: "
                           f"more than numpy can index")
     if cfg.initial.kind == "file" and not cfg.initial.path:
         raise ConfigError("initial = file needs a 'path' key in [problem]")
     if cfg.regime.tag == "out-of-range":
         raise ConfigError(f"out-of-range regime: d={cfg.d}, alpha={cfg.alpha}, lambda={cfg.lam}")
+
+
+def check_levels(cfg: RunConfig, levels: int):
+    """ConfigError if the finest of `levels` dt levels has more steps than numpy can index."""
+    if cfg.n_steps > np.iinfo(np.intp).max >> (levels - 1):
+        raise ConfigError(f"dt = {cfg.dt} with [verify] levels = {cfg.verify.levels}: the finest "
+                          f"of {levels} levels has 2**{levels - 1} * {cfg.n_steps} steps, "
+                          f"more than numpy can index")
 
 
 def serialize_config(cfg: RunConfig) -> str:

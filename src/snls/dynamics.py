@@ -189,6 +189,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # diagnostics and blowup monitoring
 
+def _critical_spacetime_exponent(d: int) -> float:
+    return 2.0 * (d + 2) / (d - 2)
+
+
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
     """Diagnostics of each row of a (..., *grid.shape) block, one array each."""
@@ -441,9 +445,11 @@ _STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
 
 def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, scheme: str):
     """solve_block's solve: yields row 0 (start -1), then each chunk, as (start, live, states,
-    events), states[j] holding the paths `live` after step start + j + 1; returns the trajectories."""
+    kept): states[j] holds the paths `live` after step start + j + 1, and row r's first kept[r]
+    of them are kept; returns the trajectories."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
-        raise RegimeError(f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
+        raise RegimeError(
+            f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}")
     if not paths or len({(p.n_steps, p.dt) for p in paths}) != 1:
@@ -451,7 +457,7 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
     chunk = chunk_steps(n_paths, grid)
     stepper = _STEPPERS[scheme](spec, paths, options.flags)
-    q1 = 2.0 * (spec.d + 2) / (spec.d - 2) if spec.regime.tag == REGIME_ENERGY_CRIT else None
+    q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
     x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
     v = np.array(x0, dtype=np.complex128, order="C")
     row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
@@ -464,15 +470,14 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
     last = np.full(n_paths, n_steps)
     live = np.arange(n_paths)   # the path of each row of the block
 
-    def hand_off(start, states, events):   # after the snapshots of its kept rows
+    def hand_off(start, states, kept):   # snapshots: the kept rows due by stride, and a blowup row
         for r, b in enumerate(live.tolist() if options.record_snapshots else []):
-            stop, kind, _ = events.get(r, (len(states), None, None))
-            for j in range(stop + (kind == "blowup")):   # due by stride, or the blowup row
-                if (start + 1 + j) % options.stride == 0 or j == stop:
-                    snaps[b].append((start + 1 + j, states[j, r].copy()))
-        return start, live, states, events
+            for t in range(start + 1, start + 1 + kept[r]):
+                if t % options.stride == 0 or t == last[b] and statuses[b].is_blowup:
+                    snaps[b].append((t, states[t - start - 1, r].copy()))
+        return start, live, states, kept
 
-    yield hand_off(-1, v[None], {})
+    yield hand_off(-1, v[None], np.ones(n_paths, dtype=int))
     for start in range(0, n_steps, chunk):
         k = min(chunk, n_steps - start)
         # a path's state may overflow before its non-finite row stops it; the
@@ -491,11 +496,13 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
             for key, r in rows.items():
                 series[key][live, start + 1:start + k + 1] = r.T
             events = monitor.scan(stepper.dt, rows, failed, live)
+        kept = np.full(len(live), k)   # a path's rows before its stop, and a blowup row
         for row, (stop, kind, reason) in events.items():
             b = live[row]
             last[b] = start + stop + 1
             statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
-        yield hand_off(start, states, events)
+            kept[row] = stop + (kind == "blowup")
+        yield hand_off(start, states, kept)
         if events:   # a stopped path's row leaves the block
             keep = [row for row in range(len(live)) if row not in events]
             if not keep:
@@ -521,13 +528,13 @@ def solve_chunks(x, paths: list, spec: ProblemSpec,
     as (t, b, X): X[i] is path b[i] at time index t[i], e^W y for the rescaled scheme.
     It returns the trajectories, and hands each chunk over in the caller's error state."""
     trajectories, betas = [], None
-    for start, live, states, events in each_chunk(_block_chunks(x, paths, spec, options, scheme),
-                                                  trajectories):
-        kept = np.full(len(live), len(states))
-        kept[list(events)] = [stop + (kind == "blowup") for stop, kind, _ in events.values()]
+    for start, live, states, kept in each_chunk(_block_chunks(x, paths, spec, options, scheme),
+                                                trajectories):
         j, r = np.nonzero(np.arange(len(states))[:, None] < kept)
         t, b = start + 1 + j, live[r]
-        X = states[j, r] if events else states.reshape(-1, *states.shape[2:])
+        X = states.reshape(-1, *states.shape[2:])   # its row j * len(live) + r is states[j, r]
+        if len(j) < len(X):   # a path stopped in this chunk
+            X = X[j * len(live) + r]
         if len(t) and scheme == "rescaled":   # a kept row's e^W may overflow as its next state
             betas = np.stack([p.betas for p in paths], axis=1) if betas is None else betas
             with np.errstate(over="ignore", invalid="ignore"):
@@ -544,7 +551,7 @@ def solve_block(x, paths: list, spec: ProblemSpec,
     One Trajectory per path (y for the rescaled scheme): a path stops at its first event
     (non-finite state or blowup crossing), keeping its rows before it and a blowup row, from
     which snapshots are taken, and its row leaves the block.  solve_chunks yields the kept rows."""
-    trajectories = []
+    trajectories = []   # a for loop would hold each chunk while the next is solved
     deque(each_chunk(_block_chunks(x, paths, spec, options, scheme), trajectories), maxlen=0)
     return trajectories
 
@@ -637,7 +644,9 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
     if window_policy not in ("adaptive", "fixed"):
         raise ValueError(f"unknown window policy {window_policy!r}")
     grid, dt = spec.grid, path.dt
-    K = int(round((path.horizon if tau is None else tau) / dt))
+    if tau is None:
+        tau = path.horizon
+    K = int(round(tau / dt))
     if K < 1 or K > path.n_steps:
         raise ValueError(f"window tau={tau} not representable on the path grid")
 
@@ -653,7 +662,9 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
             u[i + 1] = stepper.step_at(u[i:i + 1], i)[0]
         envs = np.exp((spec.alpha - 1.0) * _mode_sum(path.betas[:K + 1], spec.model.phi_stack).real)
 
-        y, distances = u.copy(), []
+        y = u.copy()
+        distances = []
+        converged = False
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 f = envs * guarded_abs_power(y, spec.alpha - 1.0) * y
@@ -667,9 +678,11 @@ def picard_solve(x: Field, path: WienerPath, spec: ProblemSpec,
                 dist = float(np.sqrt(quadrature(grid, guarded_abs_power(diff, 2.0))).max())
                 distances.append(dist)
                 y = new
-                if not math.isfinite(dist) or dist < tol:
-                    break            # diverged (the window cannot be accepted), or converged
-        converged = bool(distances) and distances[-1] < tol
+                if not math.isfinite(dist):
+                    break            # diverged; window cannot be accepted
+                if dist < tol:
+                    converged = True
+                    break
         # contraction factor over pre-floor pairs
         factor = 0.0
         for a, b in zip(distances, distances[1:]):

@@ -121,7 +121,8 @@ def _hamiltonian_terms(v, db, dt, model, spec, flags):
         rows["mu_drift"], rows["qv_grad"], mart_grad = _gradient_noise_terms(
             grid, model, v, gradient_arrays(grid, v), db, dt)
         rows.update(qv_phase=np.zeros(len(v)), mart_grad=mart_grad, mart_phase=np.zeros(len(v)))
-        for j, re_phi in enumerate(phi.real for phi in model.phi_fields):
+        for j, phi in enumerate(model.phi_fields):
+            re_phi = phi.real
             rows["qv_phase"] += (-0.5 * lam_eff * (alpha - 1.0) * dt
                                  * quadrature(grid, re_phi ** 2 * abs_p))
             rows["mart_phase"] += -lam_eff * quadrature(grid, re_phi * abs_p) * db[:, j]
@@ -146,7 +147,8 @@ def _lp_terms(v, db, dt, model, spec, flags):
         rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
     if flags.noise and model.n_modes > 0:
         rows.update(qv_phase=np.zeros(len(v)), mart_phase=np.zeros(len(v)))
-        for j, re_phi in enumerate(phi.real for phi in model.phi_fields):
+        for j, phi in enumerate(model.phi_fields):
+            re_phi = phi.real
             rows["qv_phase"] += 0.5 * p * (p - 2.0) * dt * quadrature(grid, re_phi ** 2 * abs_p)
             rows["mart_phase"] += p * quadrature(grid, re_phi * abs_p) * db[:, j]
     return rows

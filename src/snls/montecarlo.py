@@ -6,8 +6,9 @@ the path count and the parallel width, while a path's bits depend on neither
 its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
 The identity ladder, the continuity probe and convergence_order loop over
-solve_chunks' kept rows as X while they are solved; convergence_order steps its
-levels in lockstep and keeps only the rows some level has not yet passed.
+solve_chunks' kept rows as X while they are solved; convergence_order keeps
+only the rows some level has not yet passed, advancing its levels side by side
+for the sup-in-t error and one after another at the horizon.
 """
 
 from __future__ import annotations
@@ -89,8 +90,10 @@ class EnsembleReport:
         return np.sqrt(self.variance(obs) / finite)
 
     def to_csv(self, path):
-        header, cols = ["t"], [self.times]
-        for obs in self.per_path:
+        names = list(self.per_path)
+        header = ["t"]
+        cols = [self.times]
+        for obs in names:
             header += [f"{obs}_mean", f"{obs}_var", f"{obs}_ci3"]
             cols += [self.mean(obs), self.variance(obs), 3.0 * self.stderr(obs)]
         with open(path, "w") as fh:
@@ -139,7 +142,8 @@ def _map_blocks(task, config: EnsembleConfig, block: int) -> list:
 
 
 def _ensemble_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
-    *_, paths = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
+    *_, paths = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids,
+                             config.levels)
     n_times = paths[0].n_steps + 1
     return [({obs: np.concatenate([tr.diagnostic(obs), np.full(n_times - len(tr.times), np.nan)])
               for obs in config.observables}, tr.status)
@@ -152,9 +156,12 @@ def run_ensemble(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> Ensembl
         raise ValueError("need at least one path")
     results = _map_blocks(partial(_ensemble_block, x, spec, config), config,
                           block_size(spec.grid, ENSEMBLE_POINTS))
-    times = np.linspace(0.0, spec.T, config.n_steps * 2 ** (config.levels - 1) + 1)
-    per_path = {obs: np.vstack([r[0][obs] for r in results]) for obs in config.observables}
-    return EnsembleReport(times, per_path, [r[1] for r in results], config)
+    n_times = config.n_steps * 2 ** (config.levels - 1) + 1
+    times = np.linspace(0.0, spec.T, n_times)
+    per_path = {obs: np.vstack([r[0][obs] for r in results])
+                for obs in config.observables}
+    statuses = [r[1] for r in results]
+    return EnsembleReport(times, per_path, statuses, config)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,8 @@ def martingale_test(report: EnsembleReport, initial_mass: float,
     """
     if report.n_paths < 100:
         raise ValueError("martingale test needs at least 100 paths")
-    idx = np.unique(np.linspace(1, len(report.times) - 1, n_checkpoints).astype(int))
+    n_times = len(report.times)
+    idx = np.unique(np.linspace(1, n_times - 1, n_checkpoints).astype(int))
     mean = report.mean("mass")[idx]
     se = report.stderr("mass")[idx]
     b = np.zeros(len(idx)) if bias is None else np.asarray(bias, dtype=float)
@@ -201,7 +209,8 @@ def estimate_mass_bias(x: Field, spec: ProblemSpec, config: EnsembleConfig,
     |mean mass at dt - mean mass at dt/2| at the shared checkpoints."""
     coarse = run_ensemble(x, spec, config)
     fine = run_ensemble(x, spec, replace(config, levels=config.levels + 1))
-    idx = np.unique(np.linspace(1, len(coarse.times) - 1, n_checkpoints).astype(int))
+    n_times = len(coarse.times)
+    idx = np.unique(np.linspace(1, n_times - 1, n_checkpoints).astype(int))
     return np.abs(coarse.mean("mass")[idx] - fine.mean("mass")[2 * idx])
 
 
@@ -230,7 +239,9 @@ def moment_monitor(report: EnsembleReport, p: float, alpha: float) -> MomentRepo
     """
     if any(s.kind != "finished" for s in report.statuses):
         return MomentReport(p, math.nan, math.nan, True)
-    mass, h1, lp = (report.per_path[obs] for obs in ("mass", "h1", "lp"))
+    mass = report.per_path["mass"]
+    h1 = report.per_path["h1"]
+    lp = report.per_path["lp"]
     grad_l2 = h1 - np.sqrt(mass)
     sup_mass_p = np.max(mass ** (p / 2.0), axis=1)
     sup_energy = np.max(grad_l2 ** 2 + lp ** (alpha + 1.0), axis=1)
@@ -262,36 +273,41 @@ class ConvergenceReport:
 def _convergence_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                        sup_over_time: bool, ids) -> list:
     """Per path, its error at each coarser level, or None if it did not finish every level.
-    Levels step in lockstep, furthest behind in base time first, until all pass base index i
-    (row i * strides[l] at level l); each coarser X there raises its max distance to the finest's."""
+    For each compared base index i, finest level first, each level is pulled until it has
+    passed i (row i * strides[l] at level l), and at the last i to its end; each coarser level's
+    X at base indices up to i then raises a running max of its L2 distance to the finest's, and
+    those rows go.  At the horizon, the only i, the levels so run one after another."""
     B, opts = len(ids), replace(config.options, record_snapshots=False)
     solves = [solve_chunks(x, paths, spec, opts, config.scheme) for paths in ladder_paths(
         spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)]
     # sup-in-t compares at every base-grid time; the default at the horizon only
     strides = [2 ** lv * (1 if sup_over_time else config.n_steps) for lv in range(config.levels)]
+    last = config.n_steps if sup_over_time else 1   # the last compared base index
     passed = np.full(config.levels, -1.0)   # the base time each level's rows have reached
     # each level's rows not yet compared, as base index * B + path and X, in that order
     waiting = [(np.empty(0, dtype=int), np.empty((0, *spec.grid.shape), complex))] * config.levels
-    errors, finished = np.zeros((B, config.levels - 1)), np.ones(B, dtype=bool)
-    for i in range(config.n_steps + 2 if sup_over_time else 3):   # the last one drains
-        while passed.min() < i:
-            level = int(passed.argmin())
-            try:
-                t, b, X = next(solves[level])
-            except StopIteration as done:
-                finished &= [traj.status.kind == "finished" for traj in done.value]
-                passed[level] = math.inf
-                continue
-            passed[level], due = t[-1] / strides[level], t % strides[level] == 0
-            waiting[level] = [np.concatenate(pair) for pair in zip(
-                waiting[level], (t[due] // strides[level] * B + b[due], X[due]))]
-        n = [np.searchsorted(key, (i + 1) * B) for key, _ in waiting]   # the rows at base index i
+    errors = np.zeros((B, config.levels - 1))
+    finished = np.ones(B, dtype=bool)
+    for i in range(last + 1) if sup_over_time else [last]:
+        for level in reversed(range(config.levels)):
+            while passed[level] < (i if i < last else math.inf):
+                try:
+                    t, b, X = next(solves[level])
+                except StopIteration as done:
+                    finished &= [traj.status.kind == "finished" for traj in done.value]
+                    passed[level] = math.inf
+                    continue
+                passed[level], due = t[-1] / strides[level], t % strides[level] == 0
+                waiting[level] = [np.concatenate(pair) for pair in zip(
+                    waiting[level], (t[due] // strides[level] * B + b[due], X[due]))]
+        n = [np.searchsorted(key, (i + 1) * B) for key, _ in waiting]   # the rows up to base index i
         top, finest = (a[:n[-1]] for a in waiting[-1])
         for level, ((key, rows), m) in enumerate(zip(waiting[:-1], n)):
             _, mine, theirs = np.intersect1d(key[:m], top, assume_unique=True, return_indices=True)
-            diff = np.abs(rows[mine] - finest[theirs]) ** 2
-            np.maximum.at(errors[:, level], key[mine] % B, np.sqrt(quadrature(spec.grid, diff)))
-        waiting = [(key[m:], rows[m:]) for m, (key, rows) in zip(n, waiting)]
+            with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
+                diff = np.abs(rows[mine] - finest[theirs]) ** 2
+                np.maximum.at(errors[:, level], key[mine] % B, np.sqrt(quadrature(spec.grid, diff)))
+        waiting = [(key[m:], rows[m:].copy()) for m, (key, rows) in zip(n, waiting)]
     return [e if ok else None for e, ok in zip(errors, finished)]
 
 
@@ -299,10 +315,11 @@ def convergence_order(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                       sup_over_time: bool = False) -> ConvergenceReport:
     """Strong L2 errors against the finest of `levels` coupled dt levels,
     with the fitted log2 slope.  Errors are taken at the horizon unless
-    sup_over_time is set, which compares at every base-grid time; the levels
-    run side by side and no level's X is kept whole.  A path that does not
-    finish at every level is left out of the errors and makes the report
-    inconclusive; RegimeError if no path finishes."""
+    sup_over_time is set, which compares at every base-grid time with the
+    levels advanced side by side; at the horizon they run one after another.
+    No level's X is kept whole.  A path that does not finish at every level
+    is left out of the errors and makes the report inconclusive; RegimeError
+    if no path finishes."""
     if config.levels < 3:
         raise ValueError("order fit needs at least 3 levels")
     results = _map_blocks(partial(_convergence_block, x, spec, config, sup_over_time), config,
@@ -342,23 +359,26 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
     """Per path, each identity's |terminal| and sup_t |residual| at each level, its
     largest boundary ratio of X, its finest reports if it is path 0, and its statuses:
     the per-path series of the term functions of each chunk's kept rows, as X."""
-    terminal, sup = np.zeros((2, len(ids), len(TERMS), config.levels))
+    terminal = np.zeros((len(ids), len(TERMS), config.levels))
+    sup = np.zeros_like(terminal)
     boundary = np.zeros((len(ids), config.levels))
     statuses = np.empty((len(ids), config.levels), dtype=object)
     finest = [None] * len(ids)
-    opts = replace(config.options, record_snapshots=False)
     ladder = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)
     for level, paths in enumerate(ladder):
         dt, count, trajs = paths[0].dt, np.zeros(len(ids), dtype=int), []
         db = np.zeros((paths[0].n_steps + 1, len(ids), spec.model.n_modes))
         db[:-1] = np.stack([p.increments for p in paths], axis=1)   # the last row starts none
         series = {name: defaultdict(partial(np.empty, (len(ids), len(db)))) for name in TERMS}
-        for t, b, X in each_chunk(solve_chunks(x, paths, spec, opts, config.scheme), trajs):
-            np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
-            np.add.at(count, b, 1)
-            for name, terms in TERMS.items():
-                for key, rows in terms(X, db[t, b], dt, spec.model, spec, config.options.flags).items():
-                    series[name][key][b, t] = rows
+        for t, b, X in each_chunk(solve_chunks(x, paths, spec, replace(
+                config.options, record_snapshots=False), config.scheme), trajs):
+            with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
+                np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
+                np.add.at(count, b, 1)
+                for name, terms in TERMS.items():
+                    for key, rows in terms(X, db[t, b], dt, spec.model, spec,
+                                           config.options.flags).items():
+                        series[name][key][b, t] = rows
         for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
             reports = {name: _report(name, path.times[:m], path,
                                      {k: s[b, :m].copy() for k, s in series[name].items()})
@@ -404,11 +424,13 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
     (paths,) = ladder_paths(spec.model, spec.T, config.n_steps, config.seed, ids, 1)
     paths = [path for path in paths for _ in starts]
     sup, trajs = np.zeros((len(ids), len(deltas))), []
-    opts = replace(config.options, record_snapshots=False)
-    for t, b, X in each_chunk(solve_chunks(np.concatenate([starts] * len(ids)), paths, spec, opts,
+    for t, b, X in each_chunk(solve_chunks(np.concatenate([starts] * len(ids)), paths, spec,
+                                           replace(config.options, record_snapshots=False),
                                            config.scheme), trajs):
-        if len(X) == len(paths) * len(np.unique(t)):   # else a run has stopped: the probe fails below
-            X = X.reshape(-1, len(ids), len(starts), *spec.grid.shape)
+        if len(X) != len(paths) * len(np.unique(t)):   # a run has stopped: the probe fails below
+            continue
+        X = X.reshape(-1, len(ids), len(starts), *spec.grid.shape)
+        with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
             for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
                 np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)
     for a, traj in enumerate(trajs):

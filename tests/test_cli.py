@@ -10,7 +10,7 @@ import pytest
 import snls.cli
 from snls.cli import main
 from snls.config import build_initial, build_problem, parse_config, read_snapshot
-from snls.dynamics import SolveOptions, rescaled_to_X, solve_rescaled
+from snls.dynamics import SolveOptions, each_chunk, rescaled_to_X, solve_rescaled
 from snls.noise import sample_path
 from snls.spectral import boundary_ratio
 
@@ -202,6 +202,37 @@ class TestSimulate:
             assert "noise profile is non-finite" in err
         if edit == "tiny-dt":
             assert "dt = 1e-300" in err
+
+    def test_a_non_finite_boundary_ratio_is_not_trusted(self, tmp_path, capsys, monkeypatch):
+        # a kept row whose e^W overflowed has |X| = inf, and its boundary ratio inf/inf is NaN:
+        # the boundary maximum is NaN from any chunk, as a maximum over every row, with no warning
+        solve = snls.cli.solve_chunks
+
+        def overflowing(*args):
+            trajs = []
+            for n, (t, b, X) in enumerate(each_chunk(solve(*args), trajs)):
+                yield t, b, np.full_like(X, np.inf) if n == 1 else X   # the chunk after row 0
+            return trajs
+
+        monkeypatch.setattr(snls.cli, "solve_chunks", overflowing)
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=1, paths=1)
+        assert main(["simulate", "--config", cfg]) == 0
+        summary = read_summary(tmp_path)
+        assert summary["direct_boundary_max"] == "nan"
+        assert summary["direct_boundary_trusted"] == "false"
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-identities", "convergence",
+                                         "blowup-scan"])
+    def test_levels_past_the_index_range(self, tmp_path, capsys, command):
+        # 2**63 * T/dt steps at the finest level: only commands that solve the levels reject it
+        cfg = write_cfg(tmp_path, NOISY_CFG, m=1, levels=64, paths=1)
+        code = main([command, "--config", cfg])
+        err = capsys.readouterr().err
+        if command == "simulate":
+            assert code == 0 and err == ""
+        else:
+            assert code == 1 and err.startswith("snls: error: dt = 0.002 with [verify] levels = 64")
 
     @pytest.mark.parametrize("command,solver", [("simulate", "solve_chunks"),
                                                 ("convergence", "convergence_order")])

@@ -542,19 +542,35 @@ class TestContinuityProbe:
                              gaussian(grid=grid))
 
 
-def test_engines_leave_the_callers_error_state():
+@pytest.mark.parametrize("case,scheme", [("real", "direct"), ("real", "rescaled"),
+                                         ("overflow", "rescaled")])
+def test_engines_leave_the_callers_error_state(monkeypatch, case, scheme):
     # the lockstep convergence levels, the identity ladder and the probe each read
-    # suspended solves; the solver's overflow guard never outlives a chunk
+    # suspended solves; the solver's overflow guard never outlives a chunk, and each
+    # engine guards its own arithmetic on a kept row whose X is huge or non-finite
+    if case == "overflow":   # the finest level's path 0 takes an increment of 500 at its last
+        sampled = snls.montecarlo.ladder_paths   # step: it finishes, X = e^W y near e^500
+
+        def overflowing(*args):
+            for paths in sampled(*args):
+                if paths[0].level == args[5] - 1:
+                    paths[0].increments[-1] = 500.0
+                yield paths
+
+        monkeypatch.setattr(snls.montecarlo, "ladder_paths", overflowing)
     spec, x = spec_with_mode(1.0 + 0j, T=0.05), gaussian()
-    config = EnsembleConfig(n_paths=3, seed=4, n_steps=20, levels=3, width=1, options=NOSNAP)
+    config = EnsembleConfig(n_paths=3, seed=4, n_steps=20, levels=3, width=1, options=NOSNAP,
+                            scheme=scheme)
     with np.errstate(over="raise", invalid="raise"):
         caller = np.geterr()
         for sup_over_time in (False, True):
-            convergence_order(x, spec, config, sup_over_time)
+            errors = convergence_order(x, spec, config, sup_over_time).errors
+            assert np.all(np.isinf(errors) if case == "overflow" else np.isfinite(errors))
             assert np.geterr() == caller
-        identity_ladder(x, spec, config)
+        assert identity_ladder(x, spec, config).unfinished_paths == 0
         assert np.geterr() == caller
-        continuity_probe(x, [1e-2, 1e-3], spec, config, gaussian(width=2.0))
+        ratios = continuity_probe(x, [1e-2, 1e-3], spec, config, gaussian(width=2.0)).ratios
+        assert np.isnan(ratios[0]).all() == (case == "overflow") and np.isfinite(ratios[1:]).all()
         assert np.geterr() == caller
 
 
@@ -569,7 +585,7 @@ def traced_peak(fn, *args):
 
 
 class TestStreamingMemory:
-    # solve_block hands its chunks to the engines as they are solved: the
+    # solve_chunks hands its chunks to the engines as they are solved: the
     # peak is the per-path series plus a chunk's working arrays, while a
     # stride-1 trajectory of every path (1 KiB a step at n = 64) is never held
     GRID64 = Grid(1, 64, 16.0)
@@ -607,3 +623,13 @@ class TestStreamingMemory:
         series = 16 * (101 + 201 + 401) * 8 * 5
         peak = traced_peak(convergence_order, x, spec, config, True)
         assert peak <= series + 14 * self.CHUNK
+
+    def test_convergence_order_at_the_horizon_runs_its_levels_in_turn(self):
+        spec = spec_with_mode(1.0 + 0j, T=0.2, grid=self.GRID64)
+        x = gaussian(grid=self.GRID64)
+        config = EnsembleConfig(n_paths=16, seed=2, n_steps=100, levels=3, width=1)
+        convergence_order(x, spec, replace(config, n_paths=1, n_steps=4))   # fills the caches
+        # one level is solved at a time, finest first: its 5 diagnostic series and its chunks'
+        # working arrays.  Measured 1.24 MB; three levels solved side by side read 1.87 MB.
+        finest = 16 * 401 * 8 * 5
+        assert traced_peak(convergence_order, x, spec, config) <= finest + 8 * self.CHUNK
