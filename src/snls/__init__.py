@@ -8,7 +8,7 @@ from .spectral import (Field, Grid, GridMismatchError, NumericFailure,
 from .noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
                     NoiseModel, WienerPath, build_model, eval_W, ladder_paths,
                     refine_path, sample_path)
-from .functionals import gn_probe, gn_theta, hamiltonian, mass
+from .functionals import hamiltonian, mass
 from .dynamics import (BlowupThresholds, CFLError, NoContractionError,
                        PicardDiagnostics, ProblemSpec, Regime, RegimeError,
                        SolveOptions, StepFlags, Trajectory, TrajectoryStatus,

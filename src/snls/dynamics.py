@@ -319,6 +319,8 @@ class _DirectStepper(_Stepper):
     def __init__(self, spec: ProblemSpec, paths: list, flags: StepFlags):
         super().__init__(spec, paths, flags)
         model = spec.model
+        self.d, self.linear, self.nonlinear = self.grid.d, flags.linear, flags.nonlinear
+        self.expo, self.half_angle = spec.alpha - 1.0, 0.5 * spec.lam * self.dt
         self.lin_mult = np.exp(1j * self.grid.k_squared * self.dt)
         damp = model.mu_field.astype(np.complex128) if flags.omit_mu_tilde else model.damping
         if self.has_noise:
@@ -336,7 +338,7 @@ class _DirectStepper(_Stepper):
     def _phase(self, v: np.ndarray) -> np.ndarray:
         """exp(-i lam |v|^{alpha-1} dt/2), as cos + i sin with the complex exp's bits.
         The phase flow keeps |v|, so a step's trailing factor is the next step's leading one."""
-        theta = guarded_abs_power(v, self.spec.alpha - 1.0) * (0.5 * self.spec.lam * self.dt)
+        theta = guarded_abs_power(v, self.expo) * self.half_angle
         np.subtract(0.0, theta, out=theta)   # the negated angle, +0 at 0 as exp's form had
         out = np.empty(theta.shape, dtype=np.complex128)
         np.cos(theta, out=out.real)
@@ -344,14 +346,14 @@ class _DirectStepper(_Stepper):
         return out
 
     def step(self, v: np.ndarray, arrays: list) -> np.ndarray:
-        if self.flags.nonlinear:
+        if self.nonlinear:
             v = np.multiply(v, self._phase(v) if self.phase is None else self.phase)
-        if self.flags.linear:   # inline: freeing vhat later makes glibc trim the heap every step
-            vhat = fft_trailing(v, self.grid.d)
-            v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.grid.d, inverse=True)
+        if self.linear:   # inline: freeing vhat later makes glibc trim the heap every step
+            vhat = fft_trailing(v, self.d)
+            v = fft_trailing(np.multiply(self.lin_mult, vhat, out=vhat), self.d, inverse=True)
         if self.has_noise:
             v = np.multiply(v, arrays[0])
-        if self.flags.nonlinear:
+        if self.nonlinear:
             self.phase = self._phase(v)
             v = np.multiply(v, self.phase)
         return v
@@ -472,9 +474,9 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
 
     def hand_off(start, states, kept):   # snapshots: the kept rows due by stride, and a blowup row
         for r, b in enumerate(live.tolist() if options.record_snapshots else []):
-            for t in range(start + 1, start + 1 + kept[r]):
-                if t % options.stride == 0 or t == last[b] and statuses[b].is_blowup:
-                    snaps[b].append((t, states[t - start - 1, r].copy()))
+            t = np.arange(start + 1, start + 1 + kept[r])
+            t = t[(t % options.stride == 0) | (t == last[b]) & statuses[b].is_blowup]
+            snaps[b] += zip(t.tolist(), states[t - start - 1, r])   # one copy of the path's rows
         return start, live, states, kept
 
     yield hand_off(-1, v[None], np.ones(n_paths, dtype=int))
@@ -485,9 +487,9 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
         with np.errstate(over="ignore", invalid="ignore"):
             states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
             arrays = stepper.path_chunk(start, k, live)
-            for j in range(k):
-                v = states[j] = stepper.step(v, [a[j] for a in arrays])
-            del arrays   # the chunk's path arrays go before its diagnostics
+            for j, step_arrays in enumerate(zip(*arrays) if arrays else [()] * k):
+                v = states[j] = stepper.step(v, step_arrays)
+            del arrays, step_arrays   # the chunk's path arrays go before its diagnostics
             rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
             failed = ~np.isfinite(states).reshape(k, len(live), -1).all(axis=2)
             if failed.any():

@@ -25,8 +25,8 @@ import numpy as np
 
 from .dynamics import ProblemSpec, Trajectory
 from .noise import NoiseModel, WienerPath
-from .spectral import (Grid, grad_sq_norms, gradient_arrays, guarded_abs_power,
-                       nyquist_cutoff, quadrature, theta_m_values)
+from .spectral import (Grid, grad_sq_norms, grad_sq_norms_and_arrays, gradient_arrays,
+                       guarded_abs_power, nyquist_cutoff, quadrature, theta_m_values)
 
 
 class StrideError(ValueError):
@@ -115,11 +115,13 @@ def _gradient_noise_terms(grid: Grid, model: NoiseModel, v: np.ndarray, gv: list
 def _hamiltonian_terms(v, db, dt, model, spec, flags):
     grid, alpha, p = model.grid, spec.alpha, spec.alpha + 1.0
     lam_eff = spec.lam if flags.nonlinear else 0
+    noisy = flags.noise and model.n_modes > 0
     abs_p = guarded_abs_power(v, p)
-    rows = {"lhs": 0.5 * grad_sq_norms(grid, v) - (lam_eff / p) * quadrature(grid, abs_p)}
-    if flags.noise and model.n_modes > 0:
+    grad2, gv = grad_sq_norms_and_arrays(grid, v) if noisy else (grad_sq_norms(grid, v), None)
+    rows = {"lhs": 0.5 * grad2 - (lam_eff / p) * quadrature(grid, abs_p)}
+    if noisy:
         rows["mu_drift"], rows["qv_grad"], mart_grad = _gradient_noise_terms(
-            grid, model, v, gradient_arrays(grid, v), db, dt)
+            grid, model, v, gv, db, dt)
         rows.update(qv_phase=np.zeros(len(v)), mart_grad=mart_grad, mart_phase=np.zeros(len(v)))
         for j, phi in enumerate(model.phi_fields):
             re_phi = phi.real
@@ -156,8 +158,8 @@ def _lp_terms(v, db, dt, model, spec, flags):
 
 def _h1_terms(v, db, dt, model, spec, flags, m=None):
     grid, noisy = model.grid, flags.noise and model.n_modes > 0
-    gv = gradient_arrays(grid, v)
-    rows = {"lhs": grad_sq_norms(grid, v)}
+    grad2, gv = grad_sq_norms_and_arrays(grid, v)
+    rows = {"lhs": grad2}
     if noisy:   # twice the Hamiltonian terms: scaling by 2 is exact
         rows["mu_drift"], rows["qv_grad"], mart_grad = (
             2.0 * t for t in _gradient_noise_terms(grid, model, v, gv, db, dt))

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.fft._pocketfft_umath import fft as fft_kernel, ifft as ifft_kernel
 
 
 class GridMismatchError(ValueError):
@@ -157,23 +158,31 @@ def field_from_function(grid: Grid, fn) -> Field:
 # row's bits do not depend on its block.  Complex products fix their operand
 # order with np.multiply (the SIMD complex multiply is not bit-commutative).
 
+_KERNEL_AXES = [[(ax,), (), (ax,)] for ax in (-1, -2, -3)]   # a kernel call's axes, last first
+
+
 def fft_trailing(values: np.ndarray, d: int, inverse: bool = False) -> np.ndarray:
-    """fftn (ifftn) over the trailing d axes, one axis at a time in fftn's
-    order: bit-identical to fftn(values, axes=...) and cheaper per call."""
-    transform = np.fft.ifft if inverse else np.fft.fft
-    for ax in range(-1, -d - 1, -1):
-        values = transform(values, axis=ax)
+    """fftn (ifftn) over the trailing d axes, all of one length as on a Grid, one axis at a time
+    in fftn's order, each a call of pocketfft's kernel as np.fft makes it: bit-identical to
+    fftn(values, axes=...), without np.fft's Python wrapper around every call."""
+    kernel, factor = (ifft_kernel, 1.0 / values.shape[-1]) if inverse else (fft_kernel, 1)
+    for axes in _KERNEL_AXES[:d]:
+        values = kernel(values, factor, axes=axes, out=np.empty_like(values, dtype=np.complex128))
     return values
 
 
 def apply_symbol(grid: Grid, values: np.ndarray, symbol: np.ndarray, out=None) -> np.ndarray:
     """The Fourier multiplier ifft(symbol fft(v)) of each row, in out if given: symbol is one array
     of grid.shape, or a (k, *grid.shape) stack inverted in one pass, giving (k, ..., *grid.shape)."""
-    vhat = fft_trailing(values, grid.d)
+    return _apply_to_transform(grid, fft_trailing(values, grid.d), symbol, out)
+
+
+def _apply_to_transform(grid: Grid, vhat: np.ndarray, symbol: np.ndarray, out=None) -> np.ndarray:
+    """apply_symbol of the rows whose fft_trailing is vhat."""
     lead = (1,) * (vhat.ndim - grid.d)   # a stack's symbol axis leads the rows' axes
     out = np.multiply(symbol.reshape(symbol.shape[:-grid.d] + lead + grid.shape), vhat, out=out)
-    for ax in range(-1, -grid.d - 1, -1):   # in place: a new stack per axis faults in fresh pages
-        np.fft.ifft(out, axis=ax, out=out)
+    for axes in _KERNEL_AXES[:grid.d]:   # in place: a new stack per axis faults in fresh pages
+        ifft_kernel(out, 1.0 / grid.n, axes=axes, out=out)
     return out
 
 
@@ -213,7 +222,13 @@ def guarded_abs_power(values: np.ndarray, expo: float, sq=None) -> np.ndarray:
 def grad_sq_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
     """|grad u|_2^2 of each row by Parseval: h^d/n^d sum |k|^2 |u_hat|^2
     (n^d is a power of two, so the division is exact)."""
-    p = guarded_abs_power(fft_trailing(values, grid.d), 2.0)
+    # |u_hat|^2, not u_hat, goes in: the transform is freed before the sum, the order in which
+    # every step's diagnostics row has always allocated (heap layout moves ensemble-1d's RSS)
+    return _parseval_sum(grid, guarded_abs_power(fft_trailing(values, grid.d), 2.0))
+
+
+def _parseval_sum(grid: Grid, p: np.ndarray) -> np.ndarray:
+    """h^d/n^d sum |k|^2 p of each row of p = |u_hat|^2, which it overwrites."""
     p *= grid.k_squared
     return quadrature(grid, p) / grid.n ** grid.d
 
@@ -221,6 +236,13 @@ def grad_sq_norms(grid: Grid, values: np.ndarray) -> np.ndarray:
 def gradient_arrays(grid: Grid, values: np.ndarray) -> list:
     """Spectral partial derivatives of each row, one array per axis."""
     return list(apply_symbol(grid, values, grid.symbols[1:]))
+
+
+def grad_sq_norms_and_arrays(grid: Grid, values: np.ndarray) -> tuple:
+    """grad_sq_norms and gradient_arrays of each row, with their bits, from one forward transform."""
+    vhat = fft_trailing(values, grid.d)
+    return (_parseval_sum(grid, guarded_abs_power(vhat, 2.0)),
+            list(_apply_to_transform(grid, vhat, grid.symbols[1:])))
 
 
 def gradient(u: Field) -> list:

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from snls.functionals import (gn_constant, gn_probe, gn_theta, hamiltonian,
-                              mass, mass_critical_alpha)
+from snls.functionals import hamiltonian, mass
 from snls.spectral import Field, Grid, zero_field
 
 
@@ -74,38 +73,3 @@ class TestHamiltonianContinuity:
             ratios.append(num / (delta * h1_norm(w)))
         assert all(np.isfinite(r) and r > 0 for r in ratios)
         assert max(ratios) / min(ratios) <= 1.5
-
-
-class TestGNProbe:
-    def test_theta_values(self):
-        assert gn_theta(3.0, 1) == pytest.approx(0.25, abs=1e-15)
-        assert gn_theta(2.0, 2) == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_gamma_below_two_on_subcritical_scan(self):
-        for d in (1, 2, 3):
-            a_mass = mass_critical_alpha(d)
-            for k in range(11, 71):
-                alpha = k / 10.0
-                if alpha < a_mass:
-                    gamma = gn_theta(alpha, d) * (alpha + 1.0)
-                    assert 0.0 < gamma < 2.0, (d, alpha)
-
-    def test_inequality_holds_with_frozen_constant(self):
-        grid = Grid(1, 64, 16.0)
-        gen = np.random.Generator(np.random.Philox(key=[3, 4]))
-        keep = grid.k_modulus <= grid.k_max / 3.0
-        for _ in range(100):
-            spec = gen.standard_normal(grid.shape) + 1j * gen.standard_normal(grid.shape)
-            u = Field(grid, np.fft.ifftn(spec * keep))
-            lhs, rhs, theta = gn_probe(u, 3.0)
-            assert theta == pytest.approx(0.25)
-            assert lhs <= rhs
-
-    def test_constant_frozen_per_pair(self):
-        assert gn_constant(1, 3.0) == gn_constant(1, 3.0)
-
-    def test_rejects_supercritical(self):
-        grid = Grid(1, 64, 16.0)
-        u = Field(grid, np.exp(-grid.meshes[0] ** 2))
-        with pytest.raises(ValueError):
-            gn_probe(u, 5.0)    # alpha = 1 + 4/d boundary for d = 1

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import snls.identities
-from snls.dynamics import ProblemSpec, SolveOptions, StepFlags, solve_direct
+import snls.spectral
+from snls.dynamics import ProblemSpec, SolveOptions, StepFlags, solve_direct, step_direct
 from snls.identities import (ALL_IDENTITIES, StrideError, h1_identity,
                              hamiltonian_identity, lp_identity, mass_identity)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
@@ -117,6 +118,30 @@ class TestChunking:
         full = fn(traj, path, spec.model, spec)
         monkeypatch.setattr(snls.identities, "CHUNK_POINTS", 1)
         self.assert_prefix(fn(traj, path, spec.model, spec), full, len(traj.times))
+
+
+def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
+    """One transform call per axis and direction: a direct step makes 2, and a chunk of
+    snapshots 0 for mass, 6 for H (X-hat shared by |grad X|^2 and grad X), 2 for L^p
+    and 10 for H^1, with one noise mode."""
+    spec = noisy_spec(mu=0.8 + 0.3j, lam=1)
+    path = sample_path(spec.model, 0.03, 30, seed=3)
+    traj = solve_direct(gaussian(0.8), path, spec, STRIDE1)
+    assert len(traj.times) <= snls.identities.CHUNK_POINTS // GRID.n   # one chunk
+    calls, kernels = [], (snls.spectral.fft_kernel, snls.spectral.ifft_kernel)
+    for name, kernel in zip(("fft_kernel", "ifft_kernel"), kernels):
+        def counted(*args, kernel=kernel, **kw):
+            calls.append(kernel)
+            return kernel(*args, **kw)
+        monkeypatch.setattr(snls.spectral, name, counted)
+    step_direct(gaussian(0.8), 0, path, spec)
+    assert calls == list(kernels)
+    counts = {}
+    for name, fn in ALL_IDENTITIES.items():
+        calls.clear()
+        fn(traj, path, spec.model, spec)
+        counts[name] = len(calls)
+    assert counts == {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}
 
 
 class TestMassIdentity:

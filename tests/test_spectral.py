@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -312,6 +313,43 @@ class TestApplySymbol:
             one = apply_symbol(grid, block, symbol)
             pair = fft_trailing(np.multiply(S, fft_trailing(block, grid.d)), grid.d, inverse=True)
             assert stacked[s].tobytes() == one.tobytes() == pair.tobytes()
+
+
+class TestPocketfftKernels:
+    """fft_trailing and apply_symbol call pocketfft's kernels as np.fft does, so each is
+    bit-equal to np.fft.fftn / ifftn over the trailing axes."""
+
+    @staticmethod
+    def block(grid, lead):
+        return np.stack([random_field(grid, seed).values for seed in range(math.prod(lead))]
+                        ).reshape(lead + grid.shape)
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("lead", [(), (3,)])   # one row, a (B, ...) block
+    def test_fft_trailing_is_fftn(self, grid, lead):
+        axes = tuple(range(-grid.d, 0))
+        v = self.block(grid, lead)
+        for values in (v, v.real.copy()):   # complex and float64 input
+            assert (fft_trailing(values, grid.d).tobytes()
+                    == np.fft.fftn(values, axes=axes).tobytes())
+            assert (fft_trailing(values, grid.d, inverse=True).tobytes()
+                    == np.fft.ifftn(values, axes=axes).tobytes())
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_apply_symbol_is_ifftn_of_the_product(self, grid, lead):
+        axes = tuple(range(-grid.d, 0))
+        v = self.block(grid, lead)
+        stack = grid.symbols.reshape((grid.d + 1,) + (1,) * len(lead) + grid.shape)
+        for values in (v, v.real.copy()):
+            for symbol, S in [(grid.symbols[0], grid.symbols[0]), (grid.symbols, stack)]:
+                want = np.fft.ifftn(np.multiply(S, np.fft.fftn(values, axes=axes)), axes=axes)
+                got = apply_symbol(grid, values, symbol)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        w = v.copy()   # out= aliasing the input
+        want = np.fft.ifftn(np.multiply(grid.symbols[1], np.fft.fftn(v, axes=axes)), axes=axes)
+        assert apply_symbol(grid, w, grid.symbols[1], out=w) is w
+        assert w.tobytes() == want.tobytes()
 
 
 def _fft_trailing_calls(node, scope=()):
