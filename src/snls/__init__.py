@@ -12,7 +12,7 @@ from .functionals import hamiltonian, mass
 from .dynamics import (BlowupThresholds, CFLError, NoContractionError,
                        PicardDiagnostics, ProblemSpec, Regime, RegimeError,
                        SolveOptions, StepFlags, Trajectory, TrajectoryStatus,
-                       classify, detect_blowup, is_strichartz_pair,
+                       classify, is_strichartz_pair,
                        picard_solve, propagator_apply, rescaled_coefficients,
                        rescaled_to_X, solve_direct, solve_rescaled,
                        step_direct, step_rescaled, transform)

@@ -231,7 +231,7 @@ class BlowupMonitor:
             base = np.maximum(initial["lq1_pow"], 1.0)
             self.spacetime_cap = thresholds.spacetime_factor * base * spec.T
 
-    def scan(self, dt: float, rows: dict, failed: np.ndarray, live=slice(None)) -> dict:
+    def scan(self, dt: float, rows: dict, failed: np.ndarray, live: np.ndarray) -> dict:
         """Feed the diagnostics rows of a run of steps, (k, B) arrays in time
         order, with the (k, B) mask of failed (non-finite) states; column b
         is path live[b].  Returns {column: (row, kind, reason)} of each
@@ -253,21 +253,6 @@ class BlowupMonitor:
                 events[b] = (j, "blowup", "h1-threshold" if h1_hit[j, b]
                              else "critical-spacetime-threshold")
         return events
-
-
-def detect_blowup(trajectory: Trajectory, spec: ProblemSpec,
-                  thresholds: BlowupThresholds = BlowupThresholds()) -> TrajectoryStatus:
-    """Replay a trajectory's diagnostic series through the blowup monitor, as
-    solve_block does; a NaN row is a failed state."""
-    rows = {k: s[:, None] for k, s in trajectory.diagnostics.items()}
-    monitor = BlowupMonitor(spec, thresholds, {k: r[0] for k, r in rows.items()})
-    later = {k: r[1:] for k, r in rows.items()}
-    times = trajectory.times
-    if len(times) == 1:
-        return TrajectoryStatus("finished", float(times[0]))
-    events = monitor.scan(times[1] - times[0], later, np.isnan(later["h1"]))  # solve_block's dt
-    j, kind, reason = events.get(0, (len(times) - 2, "finished", None))
-    return TrajectoryStatus(kind, float(times[j + 1]), reason)
 
 
 # ---------------------------------------------------------------------------
@@ -574,16 +559,16 @@ def transform(u: Field, W_t: Field, direction: str) -> Field:
     """Pointwise rescaling factor: to_X multiplies by e^W, to_y by e^{-W}."""
     if direction not in ("to_X", "to_y"):
         raise ValueError(f"direction must be 'to_X' or 'to_y', got {direction!r}")
-    return Field(u.grid, u.values * np.exp(W_t.values if direction == "to_X" else -W_t.values))
+    W = W_t.values if direction == "to_X" else -W_t.values
+    return Field(u.grid, np.multiply(u.values, np.exp(W)))
 
 
 def y_to_X(model: NoiseModel, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X = e^W y of each state of a stack y, W = sum_j phi_j betas[..., j] one mode sum.  Each
-    product rounds as one state's y * exp(W), which NumPy runs as exp(W) *= y from 256 KiB."""
+    product is np.multiply(y, e^W), as in transform, so it rounds as one state's."""
     e = _mode_sum(betas.reshape(math.prod(betas.shape[:-1]), -1), model.phi_stack)
     e = np.exp(e, out=e).reshape(y.shape)
-    state_bytes = y.itemsize * model.grid.n ** model.grid.d
-    return np.multiply(*((e, y) if state_bytes >= 256 * 1024 else (y, e)), out=e)
+    return np.multiply(y, e, out=e)
 
 
 class _XSnapshots(Sequence):

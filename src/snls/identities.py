@@ -12,8 +12,10 @@ of rows (snapshot chunks here, solve_block's chunks in the identity ladder)
 that returns each row's LHS and term increments by the row-wise functions of
 `spectral`, so a report depends on neither the chunking nor the stacking.
 
-Substep test flags are honored: terms sourced by a disabled substep are
-dropped so the identity matches the equation actually integrated.
+Substep test flags are honored so that each identity matches the equation
+actually integrated: terms sourced by a disabled substep are dropped, and
+switching off the dispersive substep also exposes a drift that cancels with
+it on (half of H^1's lam_drift, in the Hamiltonian identity).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .dynamics import ProblemSpec, Trajectory
+from .dynamics import ProblemSpec, Trajectory, chunk_steps
 from .noise import NoiseModel, WienerPath
 from .spectral import (Grid, grad_sq_norms, grad_sq_norms_and_arrays, gradient_arrays,
                        guarded_abs_power, nyquist_cutoff, quadrature, theta_m_values)
@@ -58,12 +60,6 @@ class IdentityReport:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-CHUNK_POINTS = 2048
-"""Grid points per chunk of stacked snapshots (32 snapshots at n = 64).  It
-bounds the memory of the stacked terms, which for a whole trajectory grows
-with its length: 8 GB per array over 2000 steps at d = 3, n = 64."""
-
-
 def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
     """sum_a Re int u_a conj(v_a) of each row."""
     return sum(quadrature(grid, np.multiply(u, np.conj(v)).real) for u, v in zip(us, vs))
@@ -95,39 +91,32 @@ def _mass_terms(v, db, dt, model, spec, flags):
     return rows
 
 
-def _gradient_noise_terms(grid: Grid, model: NoiseModel, v: np.ndarray, gv: list,
-                          db: np.ndarray, dt: float):
-    """Per-row increments -dt Re<grad(mu X), grad X>, dt/2 sum_j |grad(phi_j X)|_2^2
-    and sum_j Re<grad(phi_j X), grad X> dbeta_j: the Hamiltonian identity's
-    mu_drift, qv_grad and mart_grad; the H^1 identity's are exactly twice them."""
-    g_muv = gradient_arrays(grid, np.multiply(model.mu_field, v))
-    mu_drift = -dt * _re_inner(grid, g_muv, gv)
-    qv_grad = np.zeros(len(v))
-    mart_grad = np.zeros(len(v))
+def _phase_terms(grid: Grid, model: NoiseModel, abs_p: np.ndarray, db: np.ndarray,
+                 qv: float, mart: float):
+    """Per-row increments qv sum_j int (Re phi_j)^2 |X|^p and mart sum_j int Re phi_j |X|^p
+    dbeta_j, from abs_p = |X|^p: an identity's qv_phase and mart_phase."""
+    qv_phase, mart_phase = np.zeros(len(abs_p)), np.zeros(len(abs_p))
     for j, phi in enumerate(model.phi_fields):
-        g_phiv = gradient_arrays(grid, np.multiply(phi, v))
-        quad = sum(quadrature(grid, guarded_abs_power(ga, 2.0)) for ga in g_phiv)
-        qv_grad += 0.5 * dt * quad
-        mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
-    return mu_drift, qv_grad, mart_grad
+        re_phi = phi.real
+        qv_phase += qv * quadrature(grid, re_phi ** 2 * abs_p)
+        mart_phase += mart * quadrature(grid, re_phi * abs_p) * db[:, j]
+    return qv_phase, mart_phase
 
 
 def _hamiltonian_terms(v, db, dt, model, spec, flags):
-    grid, alpha, p = model.grid, spec.alpha, spec.alpha + 1.0
+    """H = |grad X|^2 / 2 - (lam/p)|X|_p^p: half the H^1 rows and the L^p phase terms.  H^1's
+    lam_drift cancels L^p's grad_drift in the continuum, so half of it enters only when the
+    dispersive substep is off."""
+    grid, p = model.grid, spec.alpha + 1.0
     lam_eff = spec.lam if flags.nonlinear else 0
-    noisy = flags.noise and model.n_modes > 0
+    h1 = _h1_terms(v, db, dt, model, spec, flags, lam_drift=not flags.linear)
     abs_p = guarded_abs_power(v, p)
-    grad2, gv = grad_sq_norms_and_arrays(grid, v) if noisy else (grad_sq_norms(grid, v), None)
-    rows = {"lhs": 0.5 * grad2 - (lam_eff / p) * quadrature(grid, abs_p)}
-    if noisy:
-        rows["mu_drift"], rows["qv_grad"], mart_grad = _gradient_noise_terms(
-            grid, model, v, gv, db, dt)
-        rows.update(qv_phase=np.zeros(len(v)), mart_grad=mart_grad, mart_phase=np.zeros(len(v)))
-        for j, phi in enumerate(model.phi_fields):
-            re_phi = phi.real
-            rows["qv_phase"] += (-0.5 * lam_eff * (alpha - 1.0) * dt
-                                 * quadrature(grid, re_phi ** 2 * abs_p))
-            rows["mart_phase"] += -lam_eff * quadrature(grid, re_phi * abs_p) * db[:, j]
+    rows = {k: 0.5 * r for k, r in h1.items()}
+    rows["lhs"] = rows["lhs"] - (lam_eff / p) * quadrature(grid, abs_p)
+    if flags.noise and model.n_modes > 0:
+        qv, mart = _phase_terms(grid, model, abs_p, db, -0.5 * lam_eff * (spec.alpha - 1.0) * dt,
+                                -lam_eff)
+        rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
     return rows
 
 
@@ -148,27 +137,35 @@ def _lp_terms(v, db, dt, model, spec, flags):
         gg = _grad_g_pointwise(v, gv, p)
         rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
     if flags.noise and model.n_modes > 0:
-        rows.update(qv_phase=np.zeros(len(v)), mart_phase=np.zeros(len(v)))
-        for j, phi in enumerate(model.phi_fields):
-            re_phi = phi.real
-            rows["qv_phase"] += 0.5 * p * (p - 2.0) * dt * quadrature(grid, re_phi ** 2 * abs_p)
-            rows["mart_phase"] += p * quadrature(grid, re_phi * abs_p) * db[:, j]
+        rows["qv_phase"], rows["mart_phase"] = _phase_terms(grid, model, abs_p, db,
+                                                            0.5 * p * (p - 2.0) * dt, p)
     return rows
 
 
-def _h1_terms(v, db, dt, model, spec, flags, m=None):
+def _h1_terms(v, db, dt, model, spec, flags, m=None, lam_drift=True):
+    """lam_drift=False leaves that term out, as the Hamiltonian identity does with dispersion on."""
     grid, noisy = model.grid, flags.noise and model.n_modes > 0
+    lam_drift = lam_drift and flags.nonlinear
+    if not (noisy or lam_drift):   # no term reads grad X
+        return {"lhs": grad_sq_norms(grid, v)}
     grad2, gv = grad_sq_norms_and_arrays(grid, v)
     rows = {"lhs": grad2}
-    if noisy:   # twice the Hamiltonian terms: scaling by 2 is exact
-        rows["mu_drift"], rows["qv_grad"], mart_grad = (
-            2.0 * t for t in _gradient_noise_terms(grid, model, v, gv, db, dt))
-    if flags.nonlinear:
+    if noisy:   # H's terms are these halved, exactly
+        mu_drift = -dt * _re_inner(grid, gradient_arrays(grid, np.multiply(model.mu_field, v)), gv)
+        qv_grad, mart_grad = np.zeros(len(v)), np.zeros(len(v))
+        for j, phi in enumerate(model.phi_fields):
+            g_phiv = gradient_arrays(grid, np.multiply(phi, v))
+            quad = sum(quadrature(grid, guarded_abs_power(ga, 2.0)) for ga in g_phiv)
+            qv_grad += 0.5 * dt * quad
+            mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
+        del g_phiv   # a stack of the chunk's size, not held while lam_drift's are made
+        rows["mu_drift"], rows["qv_grad"] = 2.0 * mu_drift, 2.0 * qv_grad
+    if lam_drift:
         g = np.multiply(guarded_abs_power(v, spec.alpha - 1.0), v)
         ggm = gradient_arrays(grid, theta_m_values(grid, g, nyquist_cutoff(grid) if m is None else m))
         rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, [1j * ga for ga in ggm], gv) * dt
     if noisy:
-        rows["mart_grad"] = mart_grad
+        rows["mart_grad"] = 2.0 * mart_grad
     return rows
 
 
@@ -185,7 +182,7 @@ def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **
         raise StrideError("trajectory and path live on different time grids")
     # the last snapshot starts no increment
     db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
-    size = max(1, CHUNK_POINTS // model.grid.n ** model.grid.d)
+    size = chunk_steps(1, model.grid)   # the rows one solver chunk holds for one path
     chunks = [TERMS[name](np.stack([s.values for s in traj.snapshots[a:a + size]]), db[a:a + size],
                           path.dt, model, spec, traj.flags, **kw) for a in range(0, n, size)]
     return _report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])

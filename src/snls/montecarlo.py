@@ -104,7 +104,9 @@ class EnsembleReport:
 
 def ensemble_width(config: EnsembleConfig) -> int:
     if config.width is not None:
-        return max(1, config.width)
+        if config.width < 1:
+            raise ValueError(f"ensemble width must be at least 1, got {config.width}")
+        return config.width
     env = os.environ.get("SNLS_THREADS", "").strip()
     if not env:
         return max(1, os.cpu_count() or 1)

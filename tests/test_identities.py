@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import snls.identities
+import snls.dynamics
 import snls.spectral
-from snls.dynamics import ProblemSpec, SolveOptions, StepFlags, solve_direct, step_direct
+from snls.dynamics import (ProblemSpec, SolveOptions, StepFlags, chunk_steps, solve_direct,
+                           step_direct)
 from snls.identities import (ALL_IDENTITIES, StrideError, h1_identity,
                              hamiltonian_identity, lp_identity, mass_identity)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
@@ -80,8 +81,8 @@ class TestReportStructure:
 
 
 class TestChunking:
-    """Snapshots are stacked in chunks of CHUNK_POINTS grid points (32 rows
-    at n = 64); a report must not depend on where the chunks fall."""
+    """Snapshots are stacked in the solver's chunks of chunk_steps(1, grid) rows (32 at n = 64
+    with BLOCK_POINTS = 2048); a report must not depend on where the chunks fall."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -102,10 +103,11 @@ class TestChunking:
 
     @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
     @pytest.mark.parametrize("k", [45, 70])
-    def test_cut_trajectory_is_a_prefix(self, run, name, k):
+    def test_cut_trajectory_is_a_prefix(self, run, name, k, monkeypatch):
         spec, path, traj = run
-        rows = snls.identities.CHUNK_POINTS // GRID.n
-        assert k % rows != 0 and len(traj.times) % rows != 0
+        monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", 2048)
+        rows = chunk_steps(1, GRID)
+        assert rows == 32 and k % rows != 0 and len(traj.times) % rows != 0
         cut = replace(traj, times=traj.times[:k], snapshot_indices=traj.snapshot_indices[:k],
                       snapshots=traj.snapshots[:k])
         fn = ALL_IDENTITIES[name]
@@ -116,32 +118,44 @@ class TestChunking:
         spec, path, traj = run
         fn = ALL_IDENTITIES[name]
         full = fn(traj, path, spec.model, spec)
-        monkeypatch.setattr(snls.identities, "CHUNK_POINTS", 1)
+        monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", GRID.n)
+        assert chunk_steps(1, GRID) == 1
         self.assert_prefix(fn(traj, path, spec.model, spec), full, len(traj.times))
 
 
 def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
     """One transform call per axis and direction: a direct step makes 2, and a chunk of
-    snapshots 0 for mass, 6 for H (X-hat shared by |grad X|^2 and grad X), 2 for L^p
-    and 10 for H^1, with one noise mode."""
-    spec = noisy_spec(mu=0.8 + 0.3j, lam=1)
-    path = sample_path(spec.model, 0.03, 30, seed=3)
-    traj = solve_direct(gaussian(0.8), path, spec, STRIDE1)
-    assert len(traj.times) <= snls.identities.CHUNK_POINTS // GRID.n   # one chunk
+    snapshots with one noise mode 0 for mass, 6 for H (its H^1 rows, X-hat shared by
+    |grad X|^2 and grad X), 2 for L^p and 10 for H^1.  grad X is transformed only when a
+    term reads it, and H reads H^1's lam_drift only with the dispersive substep off."""
+    cases = [  # spec, flags, calls per identity
+        (noisy_spec(mu=0.8 + 0.3j, lam=1), StepFlags(),
+         {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}),
+        (det_spec(lam=1), StepFlags(), {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 6}),
+        (det_spec(lam=1), StepFlags(nonlinear=False),
+         {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 1}),
+        (det_spec(lam=1), StepFlags(linear=False),
+         {"mass": 0, "hamiltonian": 6, "lp": 0, "h1": 6}),
+    ]
     calls, kernels = [], (snls.spectral.fft_kernel, snls.spectral.ifft_kernel)
     for name, kernel in zip(("fft_kernel", "ifft_kernel"), kernels):
         def counted(*args, kernel=kernel, **kw):
             calls.append(kernel)
             return kernel(*args, **kw)
         monkeypatch.setattr(snls.spectral, name, counted)
-    step_direct(gaussian(0.8), 0, path, spec)
-    assert calls == list(kernels)
-    counts = {}
-    for name, fn in ALL_IDENTITIES.items():
+    for spec, flags, want in cases:
+        path = sample_path(spec.model, 0.03, 30, seed=3)
+        traj = solve_direct(gaussian(0.8), path, spec, SolveOptions(stride=1, flags=flags))
+        assert len(traj.times) <= chunk_steps(1, GRID)   # one chunk
         calls.clear()
-        fn(traj, path, spec.model, spec)
-        counts[name] = len(calls)
-    assert counts == {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}
+        step_direct(gaussian(0.8), 0, path, spec)
+        assert calls == list(kernels)
+        counts = {}
+        for name, fn in ALL_IDENTITIES.items():
+            calls.clear()
+            fn(traj, path, spec.model, spec)
+            counts[name] = len(calls)
+        assert counts == want, flags
 
 
 class TestMassIdentity:
@@ -190,6 +204,21 @@ class TestHamiltonianIdentity:
         rep = hamiltonian_identity(traj, path, spec.model, spec)
         H = traj.diagnostic("hamiltonian")
         assert np.max(np.abs(rep.residual)) <= 1e-6 * abs(H[0])
+
+    def test_no_linear_residual_halves_under_refinement(self):
+        # without the dispersive substep, half of H^1's lam_drift no longer cancels
+        # L^p's grad_drift, and the Hamiltonian identity must carry it
+        spec = det_spec(lam=1, T=0.25)
+        opts = SolveOptions(stride=1, flags=StepFlags(linear=False))
+        path = sample_path(spec.model, 0.25, 100, seed=0)
+        ratios = []
+        for _ in range(3):
+            traj = solve_direct(gaussian(0.9), path, spec, opts)
+            rep = hamiltonian_identity(traj, path, spec.model, spec)
+            ratios.append(np.max(np.abs(rep.residual)) / np.max(np.abs(rep.lhs)))
+            path = refine_path(path)
+        assert all(a >= 1.8 * b for a, b in zip(ratios, ratios[1:])), ratios
+        assert ratios[-1] < 1e-3, ratios
 
     def test_conservative_mode_kills_phase_terms_exactly(self):
         model = build_model([NoiseMode(0.9j, GaussianProfile(1.0, 3.0, (0, 0, 0)))], GRID)

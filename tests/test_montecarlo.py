@@ -143,6 +143,12 @@ class TestBlocks:
         assert _map_blocks(block_bounds, replace(config, width=1), 2) == [
             (0, 1), (1, 3), (1, 3), (3, 5), (3, 5)]
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_width_below_one_is_rejected(self, width):
+        config = EnsembleConfig(n_paths=2, seed=0, n_steps=1, width=width)
+        with pytest.raises(ValueError, match=f"ensemble width must be at least 1, got {width}"):
+            run_ensemble(gaussian(), det_spec(T=0.01), config)
+
     def test_one_block_bit_identical_at_widths_1_and_2(self):
         # the paths fit one block, so width 2 splits them into two
         spec = spec_with_mode(0.6 + 0.5j, T=0.05)
