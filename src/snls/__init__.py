@@ -10,7 +10,7 @@ from .noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
                     refine_path, sample_path)
 from .functionals import hamiltonian, mass
 from .dynamics import (BlowupThresholds, CFLError, NoContractionError,
-                       PicardDiagnostics, ProblemSpec, Regime, RegimeError,
+                       PicardDiagnostics, ProblemSpec, Regime, RegimeError, Snapshots,
                        SolveOptions, StepFlags, Trajectory, TrajectoryStatus,
                        classify, is_strichartz_pair,
                        picard_solve, propagator_apply, rescaled_coefficients,

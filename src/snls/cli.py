@@ -87,7 +87,7 @@ def cmd_simulate(args) -> int:
         ratios, trajs = [], []   # X's largest boundary ratio in each chunk; the diagnostics are y's
         for _, _, X in each_chunk(solve_chunks(x, [path], spec, solve_options(cfg), scheme), trajs):
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
-                ratios.append(np.max(boundary_ratios(spec.grid, np.abs(X))))
+                ratios.append(np.max(boundary_ratios(spec.grid, np.abs(X.rows()))))
         (traj,) = trajs
         _write_diagnostics(os.path.join(out, f"diagnostics_{scheme}.csv"), traj)
         for idx, snap in zip(traj.snapshot_indices, traj.snapshots):

@@ -173,12 +173,34 @@ class TrajectoryStatus:
         return self.kind == "blowup"
 
 
+class Snapshots(Sequence):
+    """Kept states, the rows of one (count, *grid.shape) array: an int index or a walk gives
+    Field views, a slice or a row selection the same type, and rows(a, b) rows a..b stacked.
+    With betas, row i reads as X = e^W y, W from the Brownian values betas[index[i]]."""
+
+    def __init__(self, grid: Grid, values: np.ndarray, model=None, betas=None, index=None):
+        self.grid, self.values, self.model, self.betas, self.index = grid, values, model, betas, index
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):   # rows i..i+1 (i..end at -1): none is IndexError
+            return Field(self.grid, self.rows(i, i + 1 or None)[0])
+        index = None if self.betas is None else np.asarray(self.index)[i]
+        return Snapshots(self.grid, self.values[i], self.model, self.betas, index)
+
+    def rows(self, a: int = 0, b: int | None = None) -> np.ndarray:
+        y = self.values[a:b]
+        return y if self.betas is None else y_to_X(self.model, self.betas[self.index[a:b]], y)
+
+
 @dataclass
 class Trajectory:
     times: np.ndarray
     diagnostics: dict           # name -> series sampled at every step
     snapshot_indices: list
-    snapshots: list             # Fields, one per recorded index
+    snapshots: Snapshots        # the recorded states, one row per index, in one array per path
     status: TrajectoryStatus
     flags: StepFlags
 
@@ -451,7 +473,9 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
     series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in row}
     for k, s in series.items():
         s[:, 0] = row[k]
-    snaps = [[] for _ in paths]
+    # room for every stride-th row and a blowup row; pages that are never written cost nothing
+    cap = n_steps // options.stride + 2 if options.record_snapshots else 0
+    snaps, indices = [np.empty((cap, *grid.shape), complex) for _ in paths], [[] for _ in paths]
     monitor = BlowupMonitor(spec, options.thresholds, row)
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
@@ -461,7 +485,9 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
         for r, b in enumerate(live.tolist() if options.record_snapshots else []):
             t = np.arange(start + 1, start + 1 + kept[r])
             t = t[(t % options.stride == 0) | (t == last[b]) & statuses[b].is_blowup]
-            snaps[b] += zip(t.tolist(), states[t - start - 1, r])   # one copy of the path's rows
+            n = len(indices[b])   # one copy of the path's rows, unbuffered (mode="clip")
+            np.take(states[:, r], t - start - 1, axis=0, out=snaps[b][n:n + len(t)], mode="clip")
+            indices[b] += t.tolist()
         return start, live, states, kept
 
     yield hand_off(-1, v[None], np.ones(n_paths, dtype=int))
@@ -499,7 +525,7 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
                 stepper.phase = stepper.phase[keep]
     return [Trajectory(np.asarray(path.times[:last[b] + 1]),
                        {k: s[b, :last[b] + 1] for k, s in series.items()},
-                       [i for i, _ in snaps[b]], [Field(grid, a) for _, a in snaps[b]],
+                       indices[b], Snapshots(grid, snaps[b][:len(indices[b])]),
                        statuses[b], options.flags)
             for b, path in enumerate(paths)]
 
@@ -511,9 +537,9 @@ def each_chunk(chunks, trajectories: list):
 
 def solve_chunks(x, paths: list, spec: ProblemSpec,
                  options: SolveOptions = SolveOptions(), scheme: str = "direct"):
-    """solve_block, yielding the kept rows of row 0 and then of each chunk that has one
-    as (t, b, X): X[i] is path b[i] at time index t[i], e^W y for the rescaled scheme.
-    It returns the trajectories, and hands each chunk over in the caller's error state."""
+    """solve_block, yielding the kept rows of row 0 and then of each chunk that has one as
+    (t, b, X): Snapshots X's row i is path b[i] at time index t[i], read as e^W y for the
+    rescaled scheme.  It returns the trajectories, and yields in the caller's error state."""
     trajectories, betas = [], None
     for start, live, states, kept in each_chunk(_block_chunks(x, paths, spec, options, scheme),
                                                 trajectories):
@@ -522,12 +548,11 @@ def solve_chunks(x, paths: list, spec: ProblemSpec,
         X = states.reshape(-1, *states.shape[2:])   # its row j * len(live) + r is states[j, r]
         if len(j) < len(X):   # a path stopped in this chunk
             X = X[j * len(live) + r]
-        if len(t) and scheme == "rescaled":   # a kept row's e^W may overflow as its next state
-            betas = np.stack([p.betas for p in paths], axis=1) if betas is None else betas
-            with np.errstate(over="ignore", invalid="ignore"):
-                X = y_to_X(spec.model, betas[t, b], X)
+        if len(t) and scheme == "rescaled" and betas is None:   # path b's at t: row b * (N + 1) + t
+            betas = np.concatenate([p.betas for p in paths])
         if len(t):
-            yield t, b, X
+            yield t, b, Snapshots(spec.grid, X, spec.model, betas, b * (paths[0].n_steps + 1) + t)
+        del states, X   # not held while the next chunk is solved
     return trajectories
 
 
@@ -563,33 +588,18 @@ def transform(u: Field, W_t: Field, direction: str) -> Field:
     return Field(u.grid, np.multiply(u.values, np.exp(W)))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # a kept row's e^W may overflow as its next state
 def y_to_X(model: NoiseModel, betas: np.ndarray, y: np.ndarray) -> np.ndarray:
     """X = e^W y of each state of a stack y, W = sum_j phi_j betas[..., j] one mode sum.  Each
     product is np.multiply(y, e^W), as in transform, so it rounds as one state's."""
-    e = _mode_sum(betas.reshape(math.prod(betas.shape[:-1]), -1), model.phi_stack)
+    e = _mode_sum(betas.reshape(math.prod(betas.shape[:-1]), betas.shape[-1]), model.phi_stack)
     e = np.exp(e, out=e).reshape(y.shape)
     return np.multiply(y, e, out=e)
 
 
-class _XSnapshots(Sequence):
-    """X = e^{W(t_i)} y(t_i) of each snapshot of a rescaled trajectory, computed when read."""
-
-    def __init__(self, traj: Trajectory, path: WienerPath, model: NoiseModel):
-        self.traj, self.path, self.model = traj, path, model
-
-    def __len__(self) -> int:
-        return len(self.traj.snapshots)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        idx, y = self.traj.snapshot_indices[i], self.traj.snapshots[i]
-        return Field(self.model.grid, y_to_X(self.model, self.path.betas[idx], y.values))
-
-
-def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> Sequence:
-    """Companion X-snapshots e^{W(t_i)} y(t_i) of a rescaled trajectory, each computed when read."""
-    return _XSnapshots(traj, path, model)
+def rescaled_to_X(traj: Trajectory, path: WienerPath, model: NoiseModel) -> Snapshots:
+    """Companion X-snapshots e^{W(t_i)} y(t_i) of a rescaled trajectory, computed when read."""
+    return Snapshots(model.grid, traj.snapshots.values, model, path.betas, traj.snapshot_indices)
 
 
 def propagator_apply(u0: Field, s_index: int, t_index: int, path: WienerPath,

@@ -8,9 +8,9 @@ residual series r(t) = LHS(t) - RHS(t) starts at exactly zero and, for a
 correct scheme, shrinks under coupled path refinement.
 
 Time is the batch axis: TERMS maps each identity to one function of a stack
-of rows (snapshot chunks here, solve_block's chunks in the identity ladder)
-that returns each row's LHS and term increments by the row-wise functions of
-`spectral`, so a report depends on neither the chunking nor the stacking.
+of rows (views of the trajectory's snapshot array here, solve_chunks' chunks
+in the identity ladder) that returns each row's LHS and term increments by
+`spectral`'s row-wise functions: a report depends on no chunking or stacking.
 
 Substep test flags are honored so that each identity matches the equation
 actually integrated: terms sourced by a disabled substep are dropped, and
@@ -174,7 +174,7 @@ TERMS = {"mass": _mass_terms, "hamiltonian": _hamiltonian_terms, "lp": _lp_terms
 
 
 def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **kw):
-    """One identity along a trajectory's per-step snapshots, stacked in chunks of rows."""
+    """One identity along a trajectory's per-step snapshots, read in chunks of rows."""
     n = len(traj.times)
     if traj.snapshot_indices != list(range(n)):
         raise StrideError("identity checks require per-step snapshots (stride 1)")
@@ -183,8 +183,8 @@ def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **
     # the last snapshot starts no increment
     db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
     size = chunk_steps(1, model.grid)   # the rows one solver chunk holds for one path
-    chunks = [TERMS[name](np.stack([s.values for s in traj.snapshots[a:a + size]]), db[a:a + size],
-                          path.dt, model, spec, traj.flags, **kw) for a in range(0, n, size)]
+    chunks = [TERMS[name](traj.snapshots.rows(a, a + size), db[a:a + size], path.dt, model, spec,
+                          traj.flags, **kw) for a in range(0, n, size)]
     return _report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])
                                             for k in chunks[0]})
 

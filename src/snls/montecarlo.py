@@ -301,7 +301,7 @@ def _convergence_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                     continue
                 passed[level], due = t[-1] / strides[level], t % strides[level] == 0
                 waiting[level] = [np.concatenate(pair) for pair in zip(
-                    waiting[level], (t[due] // strides[level] * B + b[due], X[due]))]
+                    waiting[level], (t[due] // strides[level] * B + b[due], X[due].rows()))]
         n = [np.searchsorted(key, (i + 1) * B) for key, _ in waiting]   # the rows up to base index i
         top, finest = (a[:n[-1]] for a in waiting[-1])
         for level, ((key, rows), m) in enumerate(zip(waiting[:-1], n)):
@@ -375,6 +375,7 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
         for t, b, X in each_chunk(solve_chunks(x, paths, spec, replace(
                 config.options, record_snapshots=False), config.scheme), trajs):
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
+                X = X.rows()
                 np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
                 np.add.at(count, b, 1)
                 for name, terms in TERMS.items():
@@ -431,7 +432,7 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
                                            config.scheme), trajs):
         if len(X) != len(paths) * len(np.unique(t)):   # a run has stopped: the probe fails below
             continue
-        X = X.reshape(-1, len(ids), len(starts), *spec.grid.shape)
+        X = X.rows().reshape(-1, len(ids), len(starts), *spec.grid.shape)
         with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
             for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
                 np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)

@@ -10,7 +10,7 @@ import pytest
 import snls.cli
 from snls.cli import main
 from snls.config import build_initial, build_problem, parse_config, read_snapshot
-from snls.dynamics import SolveOptions, each_chunk, rescaled_to_X, solve_rescaled
+from snls.dynamics import Snapshots, SolveOptions, each_chunk, rescaled_to_X, solve_rescaled
 from snls.noise import sample_path
 from snls.spectral import boundary_ratio
 
@@ -211,7 +211,8 @@ class TestSimulate:
         def overflowing(*args):
             trajs = []
             for n, (t, b, X) in enumerate(each_chunk(solve(*args), trajs)):
-                yield t, b, np.full_like(X, np.inf) if n == 1 else X   # the chunk after row 0
+                # the chunk after row 0
+                yield t, b, Snapshots(X.grid, np.full_like(X.rows(), np.inf)) if n == 1 else X
             return trajs
 
         monkeypatch.setattr(snls.cli, "solve_chunks", overflowing)

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import snls.dynamics
 from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
-                           RegimeError, SolveOptions, StepFlags,
+                           RegimeError, Snapshots, SolveOptions, StepFlags,
                            BlowupThresholds, chunk_steps, classify,
                            each_chunk, guarded_abs_power, is_strichartz_pair, picard_solve,
                            propagator_apply, rescaled_coefficients,
@@ -21,7 +22,7 @@ from snls.dynamics import (CFLError, NoContractionError, ProblemSpec,
 from snls.functionals import hamiltonian, mass
 from snls.montecarlo import block_size
 from snls.noise import (ConstantProfile, CosineProfile, GaussianProfile, NoiseMode,
-                        build_model, eval_W, refine_path, sample_path, step_dW)
+                        WienerPath, build_model, eval_W, refine_path, sample_path, step_dW)
 from snls.spectral import (TINY_MODULUS, Field, Grid, NumericFailure, apply_symbol,
                            boundary_ratio, h1_norm, lp_norm, quadrature)
 
@@ -427,7 +428,7 @@ class TestChunkInvariance:
             assert chunk_steps(n_paths, grid) == K
             calls, runs[K] = [], []
             for t, b, X in each_chunk(solve_chunks(x, paths, spec, opts, scheme), runs[K]):
-                calls.append((t.copy(), b.copy(), X.copy()))
+                calls.append((t.copy(), b.copy(), X.rows().copy()))
             assert all(len(t) for t, _, _ in calls)   # a chunk with no kept row hands nothing
             t, b, X = (np.concatenate(a) for a in zip(*calls))
             order = np.lexsort((t, b))   # by path, then by time
@@ -794,10 +795,108 @@ class TestRescaledToX:
         assert Xs[-41].values.tobytes() == want[0].tobytes()
         for sl in (slice(3, 9), slice(None, None, 7), slice(-5, None), slice(8, 2, -2)):
             got = Xs[sl]
-            assert isinstance(got, list)
+            assert isinstance(got, Snapshots)
             assert [X.values.tobytes() for X in got] == [w.tobytes() for w in want[sl]]
         with pytest.raises(IndexError):
             Xs[41]
+
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_rows_are_each_snapshots_y_to_X(self, stride):
+        traj, path, model = stride1_rescaled(n_steps=40)
+        if stride > 1:
+            spec = ProblemSpec(model.grid, model, 3.0, -1, path.horizon)
+            traj = solve_rescaled(gaussian(model.grid), path, spec, SolveOptions(stride=stride))
+        Xs, n = rescaled_to_X(traj, path, model), len(traj.snapshots)
+        want = [y_to_X(model, path.betas[i], s.values)
+                for i, s in zip(traj.snapshot_indices, traj.snapshots)]
+        for got, rows in [(Xs.rows(), want), (Xs.rows(3, 9), want[3:9]), (Xs.rows(n - 1), want[-1:]),
+                          (Xs.rows(5, 5), []), (Xs[::4].rows(), want[::4]),
+                          (Xs[np.arange(n) % 3 == 1].rows(), want[1::3]),
+                          (Xs[n - 1:1:-3].rows(1, 4), want[n - 1:1:-3][1:4])]:
+            assert got.shape == (len(rows), *model.grid.shape)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in rows]
+
+
+class TestSnapshots:
+    """A trajectory keeps its snapshots as one array per path, read through views."""
+
+    def test_items_walks_slices_and_rows_are_views(self):
+        spec, x, paths, opts, _ = chunk_case("real")   # 200 steps, stride 2
+        traj = solve_direct(x, paths[0], spec, opts)
+        snaps, values = traj.snapshots, traj.snapshots.values
+        assert len(snaps) == len(traj.snapshot_indices) == 101
+        assert values.shape == (101, *spec.grid.shape)
+        for i in (0, 7, 100, -1, -101):
+            assert isinstance(snaps[i], Field) and np.shares_memory(snaps[i].values, values)
+            assert snaps[i].values.tobytes() == values[i].tobytes()
+        for i in (101, -102):
+            with pytest.raises(IndexError):
+                snaps[i]
+        walk = list(snaps)
+        assert len(walk) == 101 and all(np.shares_memory(s.values, values) for s in walk)
+        assert [s.values.tobytes() for s in walk] == [v.tobytes() for v in values]
+        for sl in (slice(3, 9), slice(None, None, 7), slice(-5, None), slice(8, 2, -2)):
+            part = snaps[sl]
+            assert isinstance(part, Snapshots) and len(part) == len(values[sl])
+            assert np.shares_memory(part.values, values) and np.shares_memory(part.rows(), values)
+            assert part.rows().tobytes() == values[sl].tobytes()
+        assert np.shares_memory(snaps.rows(4, 9), values)
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    def test_stride_that_does_not_divide_the_steps(self, scheme):
+        spec, x, paths, _, _ = chunk_case("real")   # 200 steps
+        full = solve_block(x, paths[:1], spec, SolveOptions(stride=1), scheme)[0]
+        for stride in (3, 7, 199, 201):
+            traj = solve_block(x, paths[:1], spec, SolveOptions(stride=stride), scheme)[0]
+            assert traj.snapshot_indices == list(range(0, 201, stride))
+            assert traj.snapshots.rows().tobytes() == full.snapshots.rows()[::stride].tobytes()
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    def test_a_blowup_row_on_the_stride_is_kept_once(self, scheme):
+        spec, x, paths, opts, _ = chunk_case("blowup")
+        full = solve_block(x, paths[:1], spec, SolveOptions(1, thresholds=opts.thresholds),
+                           scheme)[0]
+        stop = len(full.times) - 1
+        assert full.status.kind == "blowup" and full.snapshot_indices[-1] == stop
+        for stride in (2, stop // 2, stop, stop - 1):
+            traj = solve_block(x, paths[:1], spec, replace(opts, stride=stride), scheme)[0]
+            want = sorted(set(range(0, stop + 1, stride)) | {stop})
+            assert traj.status == full.status and traj.snapshot_indices == want
+            assert traj.snapshots.rows().tobytes() == full.snapshots.rows()[want].tobytes()
+        assert stop % 2 == 0 and (stop - 1) % 2   # on the stride, then off it
+
+    @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
+    def test_a_path_stopping_at_its_last_step(self, scheme):
+        # a blowup row off the stride after the last multiple fills every kept row
+        spec, x, paths, opts, _ = chunk_case("blowup")
+        full = solve_block(x, paths[:1], spec, replace(opts, stride=1), scheme)[0]
+        stop = len(full.times) - 1
+        path = WienerPath(paths[0].times[:stop + 1], paths[0].increments[:stop], paths[0].seed)
+        for stride in (1, 5, stop, stop + 3):
+            (traj,) = solve_block(x, [path], spec, replace(opts, stride=stride), scheme)
+            want = sorted(set(range(0, stop + 1, stride)) | {stop})
+            assert traj.status == full.status and traj.status.t == path.horizon
+            assert traj.snapshot_indices == want and len(want) <= stop // stride + 2
+            assert traj.snapshots.rows().tobytes() == full.snapshots.rows()[want].tobytes()
+        assert stop % 5 and len(range(0, stop + 1, 5)) + 1 == stop // 5 + 2
+
+    def test_no_snapshot_storage_without_snapshots(self):
+        grid = Grid(1, 256, 32.0)
+        model = build_model([NoiseMode(1.0, GaussianProfile(1.0, 4.0, (0, 0, 0)))], grid)
+        spec, x, row = ProblemSpec(grid, model, 3.0, -1, 1.0), gaussian(grid), grid.n * 16
+        path = sample_path(model, 1.0, 2000, seed=3)
+        solve_direct(x, path, spec, SolveOptions(record_snapshots=False))   # fills the caches
+        peaks = {}
+        for record in (True, False):
+            tracemalloc.start()
+            try:
+                traj = solve_direct(x, path, spec, SolveOptions(record_snapshots=record))
+                peaks[record] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(traj.snapshots) == len(traj.snapshot_indices) == 2001 * record
+        assert peaks[True] >= 2001 * row > 8 * peaks[False]
 
 
 class TestRescaledToXMemory:

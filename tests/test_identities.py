@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import snls.dynamics
+import snls.identities
 import snls.spectral
 from snls.dynamics import (ProblemSpec, SolveOptions, StepFlags, chunk_steps, solve_direct,
                            step_direct)
@@ -112,6 +113,21 @@ class TestChunking:
                       snapshots=traj.snapshots[:k])
         fn = ALL_IDENTITIES[name]
         self.assert_prefix(fn(cut, path, spec.model, spec), fn(traj, path, spec.model, spec), k)
+
+    @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
+    def test_chunks_are_views_of_the_trajectory(self, run, name, monkeypatch):
+        spec, path, traj = run
+        seen, terms = [], snls.identities.TERMS[name]
+
+        def recording(v, *args, **kwargs):
+            seen.append(v)
+            return terms(v, *args, **kwargs)
+
+        monkeypatch.setitem(snls.identities.TERMS, name, recording)
+        monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", 2048)
+        ALL_IDENTITIES[name](traj, path, spec.model, spec)
+        assert [len(v) for v in seen] == [32, 32, 32, 5]
+        assert all(np.shares_memory(v, traj.snapshots.values) for v in seen)
 
     @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
     def test_one_snapshot_chunks_give_the_same_report(self, run, name, monkeypatch):

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+import snls.dynamics
 import snls.montecarlo
 from snls.dynamics import (BLOCK_POINTS, BlowupThresholds, ProblemSpec, RegimeError,
                            SolveOptions, StepFlags, rescaled_to_X, solve_direct,
@@ -302,6 +303,25 @@ class TestConvergenceOrder:
                                 width=2, options=NOSNAP)
         rep = convergence_order(gaussian(), spec, config)
         assert rep.order >= 0.4
+
+    @pytest.mark.parametrize("sup_over_time", [False, True])
+    def test_rescaled_levels_convert_only_the_compared_rows(self, monkeypatch, sup_over_time):
+        # X = e^W y only of the rows at base-grid times a level is compared at (0 and the
+        # horizon, or all nine), per path and level, not of every kept row
+        spec = spec_with_mode(1.0 + 0j, T=0.01)
+        config = EnsembleConfig(n_paths=2, seed=4, n_steps=8, levels=3, width=1,
+                                scheme="rescaled", options=NOSNAP)
+        want = convergence_order(gaussian(), spec, config, sup_over_time)
+        y_to_X, converted = snls.dynamics.y_to_X, []
+
+        def counting(model, betas, y):
+            converted.append(len(y))
+            return y_to_X(model, betas, y)
+
+        monkeypatch.setattr(snls.dynamics, "y_to_X", counting)
+        got = convergence_order(gaussian(), spec, config, sup_over_time)
+        assert got.errors == want.errors
+        assert sum(converted) == 2 * 3 * (9 if sup_over_time else 2)
 
     def test_needs_three_levels(self):
         spec = det_spec()
