@@ -19,7 +19,7 @@ from .config import (ConfigError, RunConfig, SnapshotError, build_initial, build
                      check_levels, parse_config, solve_options, write_snapshot)
 from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory, each_chunk,
                        solve_block, solve_chunks)
-from .identities import ALL_IDENTITIES
+from .identities import IDENTITY_NAMES
 from .montecarlo import (EnsembleConfig, convergence_order, identity_ladder,
                          martingale_test, moment_monitor, run_ensemble)
 from .noise import ladder_paths, sample_path
@@ -135,7 +135,7 @@ def cmd_verify_identities(args) -> int:
     summary = ["command=verify-identities", f"seed={cfg.run.seed}",
                f"paths={n_paths}", f"levels={levels}"]
     all_ok = ladder.unfinished_paths == 0
-    for name in ALL_IDENTITIES:
+    for name in IDENTITY_NAMES:
         med, mean_sup = np.median(ladder.terminal[name], axis=0), np.mean(ladder.sup[name], axis=0)
         summary += [f"identity_{name}_median_level_{lv}={float(v)!r}" for lv, v in enumerate(med)]
         summary += [f"identity_{name}_mean_sup_level_{lv}={float(v)!r}"

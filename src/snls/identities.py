@@ -7,10 +7,12 @@ stochastic integrals as left-point (Ito) sums on the same grid.  The
 residual series r(t) = LHS(t) - RHS(t) starts at exactly zero and, for a
 correct scheme, shrinks under coupled path refinement.
 
-Time is the batch axis: TERMS maps each identity to one function of a stack
-of rows (views of the trajectory's snapshot array here, solve_chunks' chunks
-in the identity ladder) that returns each row's LHS and term increments by
-`spectral`'s row-wise functions: a report depends on no chunking or stacking.
+Time is the batch axis: identity_terms makes, for a stack of rows (views of
+the trajectory's snapshot array here, solve_chunks' chunks in the identity
+ladder), each requested identity's per-row LHS and term increments by
+`spectral`'s row-wise functions, computing the transforms the identities
+share once per stack; identity_report sums them into series, so a report
+depends on no chunking or stacking.
 
 Substep test flags are honored so that each identity matches the equation
 actually integrated: terms sourced by a disabled substep are dropped, and
@@ -65,32 +67,6 @@ def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
     return sum(quadrature(grid, np.multiply(u, np.conj(v)).real) for u, v in zip(us, vs))
 
 
-def _report(name, times, path, rows: dict) -> IdentityReport:
-    """Accumulate per-row increments (the last one unused) into series against rows["lhs"]."""
-    lhs = rows["lhs"]
-    series = {k: np.concatenate(([0.0], np.cumsum(v[:-1]))) for k, v in rows.items() if k != "lhs"}
-    rhs = lhs[0] + sum(series.values()) if series else np.full(len(times), lhs[0])
-    residual = lhs - rhs
-    residual[0] = 0.0   # exact by construction: all accumulators start at 0
-    return IdentityReport(name, times.copy(), residual, lhs, series, path.dt, path.increments)
-
-
-# The terms of each identity for a (R, *grid.shape) stack of rows v, with db the
-# (R, N) left-point increments starting at the rows: {"lhs": each row's LHS,
-# term: each row's increment}, the terms in the order their series are summed.
-
-def _mass_terms(v, db, dt, model, spec, flags):
-    abs2 = guarded_abs_power(v, 2.0)
-    rows = {"lhs": quadrature(model.grid, abs2)}
-    if flags.noise and model.n_modes > 0:
-        rows["noise_mart"] = np.zeros(len(v))
-        for j, (mode, e) in enumerate(zip(model.modes, model.e_fields)):
-            re_mu = complex(mode.mu).real
-            if re_mu != 0.0:
-                rows["noise_mart"] += 2.0 * re_mu * quadrature(model.grid, abs2 * e) * db[:, j]
-    return rows
-
-
 def _phase_terms(grid: Grid, model: NoiseModel, abs_p: np.ndarray, db: np.ndarray,
                  qv: float, mart: float):
     """Per-row increments qv sum_j int (Re phi_j)^2 |X|^p and mart sum_j int Re phi_j |X|^p
@@ -103,23 +79,6 @@ def _phase_terms(grid: Grid, model: NoiseModel, abs_p: np.ndarray, db: np.ndarra
     return qv_phase, mart_phase
 
 
-def _hamiltonian_terms(v, db, dt, model, spec, flags):
-    """H = |grad X|^2 / 2 - (lam/p)|X|_p^p: half the H^1 rows and the L^p phase terms.  H^1's
-    lam_drift cancels L^p's grad_drift in the continuum, so half of it enters only when the
-    dispersive substep is off."""
-    grid, p = model.grid, spec.alpha + 1.0
-    lam_eff = spec.lam if flags.nonlinear else 0
-    h1 = _h1_terms(v, db, dt, model, spec, flags, lam_drift=not flags.linear)
-    abs_p = guarded_abs_power(v, p)
-    rows = {k: 0.5 * r for k, r in h1.items()}
-    rows["lhs"] = rows["lhs"] - (lam_eff / p) * quadrature(grid, abs_p)
-    if flags.noise and model.n_modes > 0:
-        qv, mart = _phase_terms(grid, model, abs_p, db, -0.5 * lam_eff * (spec.alpha - 1.0) * dt,
-                                -lam_eff)
-        rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
-    return rows
-
-
 def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
     """grad of g(X) = |X|^{p-2} X from grad X via the pointwise product decomposition
     ((p-2)/2)|X|^{p-4} X^2 grad(conj X) + (p/2)|X|^{p-2} grad X, guarded at 0."""
@@ -128,52 +87,95 @@ def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
     return [np.multiply(f1, ga) + np.multiply(f2, np.conj(ga)) for ga in gv]
 
 
-def _lp_terms(v, db, dt, model, spec, flags):
-    grid, p = model.grid, spec.alpha + 1.0
-    abs_p = guarded_abs_power(v, p)
-    rows = {"lhs": quadrature(grid, abs_p), "grad_drift": np.zeros(len(v))}
-    if flags.linear:
-        gv = gradient_arrays(grid, v)
-        gg = _grad_g_pointwise(v, gv, p)
-        rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
-    if flags.noise and model.n_modes > 0:
-        rows["qv_phase"], rows["mart_phase"] = _phase_terms(grid, model, abs_p, db,
-                                                            0.5 * p * (p - 2.0) * dt, p)
-    return rows
-
-
-def _h1_terms(v, db, dt, model, spec, flags, m=None, lam_drift=True):
-    """lam_drift=False leaves that term out, as the Hamiltonian identity does with dispersion on."""
+def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
+    """{name: rows} of each identity in `names` for a (R, *grid.shape) stack of rows v, with db
+    the (R, N) left-point increments starting at the rows: rows = {"lhs": each row's LHS, term:
+    each row's increment}, the terms in the order their series are summed.  X-hat (with
+    |grad X|^2 and grad X), grad(mu X), each grad(phi_j X), grad theta_m g and |X|^p are made
+    at most once; m is the cutoff scale of lam_drift's theta_m."""
     grid, noisy = model.grid, flags.noise and model.n_modes > 0
-    lam_drift = lam_drift and flags.nonlinear
-    if not (noisy or lam_drift):   # no term reads grad X
-        return {"lhs": grad_sq_norms(grid, v)}
-    grad2, gv = grad_sq_norms_and_arrays(grid, v)
-    rows = {"lhs": grad2}
-    if noisy:   # H's terms are these halved, exactly
-        mu_drift = -dt * _re_inner(grid, gradient_arrays(grid, np.multiply(model.mu_field, v)), gv)
-        qv_grad, mart_grad = np.zeros(len(v)), np.zeros(len(v))
-        for j, phi in enumerate(model.phi_fields):
-            g_phiv = gradient_arrays(grid, np.multiply(phi, v))
-            quad = sum(quadrature(grid, guarded_abs_power(ga, 2.0)) for ga in g_phiv)
-            qv_grad += 0.5 * dt * quad
-            mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
-        del g_phiv   # a stack of the chunk's size, not held while lam_drift's are made
-        rows["mu_drift"], rows["qv_grad"] = 2.0 * mu_drift, 2.0 * qv_grad
-    if lam_drift:
-        g = np.multiply(guarded_abs_power(v, spec.alpha - 1.0), v)
-        ggm = gradient_arrays(grid, theta_m_values(grid, g, nyquist_cutoff(grid) if m is None else m))
-        rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, [1j * ga for ga in ggm], gv) * dt
-    if noisy:
-        rows["mart_grad"] = 2.0 * mart_grad
-    return rows
+    ham, h1, lp = "hamiltonian" in names, "h1" in names, "lp" in names
+    out, gv = {}, None
+    if "mass" in names:
+        abs2 = guarded_abs_power(v, 2.0)
+        rows = out["mass"] = {"lhs": quadrature(grid, abs2)}
+        if noisy:
+            rows["noise_mart"] = np.zeros(len(v))
+            for j, (mode, e) in enumerate(zip(model.modes, model.e_fields)):
+                re_mu = complex(mode.mu).real
+                if re_mu != 0.0:
+                    rows["noise_mart"] += 2.0 * re_mu * quadrature(grid, abs2 * e) * db[:, j]
+        del abs2
+    if ham or h1:
+        # H^1's lam_drift cancels L^p's grad_drift in the continuum, so half of it enters H
+        # only when the dispersive substep is off
+        lam_drift = flags.nonlinear and (h1 or not flags.linear)
+        if noisy or lam_drift or lp and flags.linear:   # a term reads grad X
+            grad2, gv = grad_sq_norms_and_arrays(grid, v)
+        else:
+            grad2 = grad_sq_norms(grid, v)
+        h1_rows = {"lhs": grad2}
+        if noisy:
+            mu_drift = -dt * _re_inner(grid, gradient_arrays(grid, np.multiply(model.mu_field, v)),
+                                       gv)
+            qv_grad, mart_grad = np.zeros(len(v)), np.zeros(len(v))
+            for j, phi in enumerate(model.phi_fields):
+                g_phiv = gradient_arrays(grid, np.multiply(phi, v))
+                quad = sum(quadrature(grid, guarded_abs_power(ga, 2.0)) for ga in g_phiv)
+                qv_grad += 0.5 * dt * quad
+                mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
+            del g_phiv   # a stack of the chunk's size, not held while lam_drift's are made
+            h1_rows["mu_drift"], h1_rows["qv_grad"] = 2.0 * mu_drift, 2.0 * qv_grad
+        if lam_drift:
+            g = np.multiply(guarded_abs_power(v, spec.alpha - 1.0), v)
+            ggm = gradient_arrays(grid, theta_m_values(grid, g, nyquist_cutoff(grid) if m is None
+                                                       else m))
+            h1_rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, [1j * ga for ga in ggm],
+                                                               gv) * dt
+            del g, ggm
+        if noisy:
+            h1_rows["mart_grad"] = 2.0 * mart_grad
+        if h1:
+            out["h1"] = h1_rows
+        if not (lp and flags.linear):
+            gv = None   # not held while |X|^p is made
+    if ham or lp:
+        p = spec.alpha + 1.0
+        abs_p = guarded_abs_power(v, p)
+    if ham:   # H = |grad X|^2 / 2 - (lam/p)|X|_p^p: half the H^1 rows and the phase terms
+        lam_eff = spec.lam if flags.nonlinear else 0
+        rows = {k: 0.5 * r for k, r in h1_rows.items() if k != "lam_drift" or not flags.linear}
+        rows["lhs"] = rows["lhs"] - (lam_eff / p) * quadrature(grid, abs_p)
+        if noisy:
+            qv, mart = _phase_terms(grid, model, abs_p, db,
+                                    -0.5 * lam_eff * (spec.alpha - 1.0) * dt, -lam_eff)
+            rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
+        out["hamiltonian"] = rows
+    if lp:
+        rows = out["lp"] = {"lhs": quadrature(grid, abs_p), "grad_drift": np.zeros(len(v))}
+        if flags.linear:
+            gv = gradient_arrays(grid, v) if gv is None else gv
+            gg = _grad_g_pointwise(v, gv, p)
+            rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
+        if noisy:
+            rows["qv_phase"], rows["mart_phase"] = _phase_terms(grid, model, abs_p, db,
+                                                                0.5 * p * (p - 2.0) * dt, p)
+    return out
 
 
-TERMS = {"mass": _mass_terms, "hamiltonian": _hamiltonian_terms, "lp": _lp_terms,
-         "h1": _h1_terms}
+IDENTITY_NAMES = ("mass", "hamiltonian", "lp", "h1")
 
 
-def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **kw):
+def identity_report(name, times, path, rows: dict) -> IdentityReport:
+    """Accumulate per-row increments (the last one unused) into series against rows["lhs"]."""
+    lhs = rows["lhs"]
+    series = {k: np.concatenate(([0.0], np.cumsum(v[:-1]))) for k, v in rows.items() if k != "lhs"}
+    residual = lhs - (lhs[0] + sum(series.values()))
+    residual[0] = 0.0   # exact by construction: all accumulators start at 0
+    return IdentityReport(name, times.copy(), residual, lhs, series, path.dt, path.increments)
+
+
+def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, m=None):
     """One identity along a trajectory's per-step snapshots, read in chunks of rows."""
     n = len(traj.times)
     if traj.snapshot_indices != list(range(n)):
@@ -183,10 +185,10 @@ def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, **
     # the last snapshot starts no increment
     db = np.vstack([path.increments[:n - 1], np.zeros((1, path.n_modes))])
     size = chunk_steps(1, model.grid)   # the rows one solver chunk holds for one path
-    chunks = [TERMS[name](traj.snapshots.rows(a, a + size), db[a:a + size], path.dt, model, spec,
-                          traj.flags, **kw) for a in range(0, n, size)]
-    return _report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])
-                                            for k in chunks[0]})
+    chunks = [identity_terms(traj.snapshots.rows(a, a + size), db[a:a + size], path.dt, model,
+                             spec, traj.flags, (name,), m)[name] for a in range(0, n, size)]
+    return identity_report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])
+                                                    for k in chunks[0]})
 
 
 def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> IdentityReport:
@@ -232,4 +234,4 @@ def h1_identity(traj: Trajectory, path: WienerPath, model: NoiseModel,
 
 
 # name -> check(traj, path, model, spec)
-ALL_IDENTITIES = {name: partial(_check, name) for name in TERMS}
+ALL_IDENTITIES = {name: partial(_check, name) for name in IDENTITY_NAMES}

@@ -6,7 +6,8 @@ the path count and the parallel width, while a path's bits depend on neither
 its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
 The identity ladder, the continuity probe and convergence_order loop over
-solve_chunks' kept rows as X while they are solved; convergence_order keeps
+solve_chunks' kept rows as X while they are solved (the ladder makes all four
+identities' terms in one identity_terms pass per chunk); convergence_order keeps
 only the rows some level has not yet passed, advancing its levels side by side
 for the sup-in-t error and one after another at the horizon.
 """
@@ -28,7 +29,7 @@ from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, eac
                        solve_block, solve_chunks)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
 from .dynamics import solve_direct, solve_rescaled  # noqa: F401
-from .identities import TERMS, _report
+from .identities import IDENTITY_NAMES, identity_report, identity_terms
 from .noise import ladder_paths
 from .spectral import Field, Grid, boundary_ratios, h1_norm, quadrature
 
@@ -360,8 +361,8 @@ class IdentityLadder:
 def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) -> list:
     """Per path, each identity's |terminal| and sup_t |residual| at each level, its
     largest boundary ratio of X, its finest reports if it is path 0, and its statuses:
-    the per-path series of the term functions of each chunk's kept rows, as X."""
-    terminal = np.zeros((len(ids), len(TERMS), config.levels))
+    the per-path series of one identity_terms pass over each chunk's kept rows, as X."""
+    terminal = np.zeros((len(ids), len(IDENTITY_NAMES), config.levels))
     sup = np.zeros_like(terminal)
     boundary = np.zeros((len(ids), config.levels))
     statuses = np.empty((len(ids), config.levels), dtype=object)
@@ -371,21 +372,23 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
         dt, count, trajs = paths[0].dt, np.zeros(len(ids), dtype=int), []
         db = np.zeros((paths[0].n_steps + 1, len(ids), spec.model.n_modes))
         db[:-1] = np.stack([p.increments for p in paths], axis=1)   # the last row starts none
-        series = {name: defaultdict(partial(np.empty, (len(ids), len(db)))) for name in TERMS}
+        series = {name: defaultdict(partial(np.empty, (len(ids), len(db))))
+                  for name in IDENTITY_NAMES}
         for t, b, X in each_chunk(solve_chunks(x, paths, spec, replace(
                 config.options, record_snapshots=False), config.scheme), trajs):
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
                 X = X.rows()
                 np.maximum.at(boundary[:, level], b, boundary_ratios(spec.grid, np.abs(X)))
                 np.add.at(count, b, 1)
-                for name, terms in TERMS.items():
-                    for key, rows in terms(X, db[t, b], dt, spec.model, spec,
-                                           config.options.flags).items():
-                        series[name][key][b, t] = rows
+                for name, rows in identity_terms(X, db[t, b], dt, spec.model, spec,
+                                                 config.options.flags, IDENTITY_NAMES).items():
+                    for key, r in rows.items():
+                        series[name][key][b, t] = r
         for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
-            reports = {name: _report(name, path.times[:m], path,
-                                     {k: s[b, :m].copy() for k, s in series[name].items()})
-                       for name in TERMS}
+            # a path's reports end at its last row handed over: before a numeric failure
+            reports = {name: identity_report(name, path.times[:m], path,
+                                             {k: s[b, :m].copy() for k, s in rows.items()})
+                       for name, rows in series.items()}
             statuses[b, level] = traj.status.kind
             terminal[b, :, level] = [abs(r.terminal_residual) for r in reports.values()]
             sup[b, :, level] = [np.max(np.abs(r.residual)) for r in reports.values()]
@@ -402,8 +405,8 @@ def identity_ladder(x: Field, spec: ProblemSpec, config: EnsembleConfig) -> Iden
     results = _map_blocks(partial(_identity_block, x, spec, config), config,
                           max(1, min(block_size(spec.grid), 8 * BLOCK_POINTS // n_times)))
     terminal, sup, boundary, statuses = (np.stack([r[i] for r in results]) for i in (0, 1, 2, 4))
-    return IdentityLadder({name: terminal[:, k] for k, name in enumerate(TERMS)},
-                          {name: sup[:, k] for k, name in enumerate(TERMS)},
+    return IdentityLadder({name: terminal[:, k] for k, name in enumerate(IDENTITY_NAMES)},
+                          {name: sup[:, k] for k, name in enumerate(IDENTITY_NAMES)},
                           results[0][3], float(np.max(boundary)), statuses)
 
 

@@ -8,7 +8,7 @@ import snls.identities
 import snls.spectral
 from snls.dynamics import (ProblemSpec, SolveOptions, StepFlags, chunk_steps, solve_direct,
                            step_direct)
-from snls.identities import (ALL_IDENTITIES, StrideError, h1_identity,
+from snls.identities import (ALL_IDENTITIES, IDENTITY_NAMES, StrideError, h1_identity,
                              hamiltonian_identity, lp_identity, mass_identity)
 from snls.noise import (GaussianProfile, NoiseMode, build_model, refine_path,
                         sample_path)
@@ -117,13 +117,13 @@ class TestChunking:
     @pytest.mark.parametrize("name", list(ALL_IDENTITIES))
     def test_chunks_are_views_of_the_trajectory(self, run, name, monkeypatch):
         spec, path, traj = run
-        seen, terms = [], snls.identities.TERMS[name]
+        seen, terms = [], snls.identities.identity_terms
 
         def recording(v, *args, **kwargs):
             seen.append(v)
             return terms(v, *args, **kwargs)
 
-        monkeypatch.setitem(snls.identities.TERMS, name, recording)
+        monkeypatch.setattr(snls.identities, "identity_terms", recording)
         monkeypatch.setattr(snls.dynamics, "BLOCK_POINTS", 2048)
         ALL_IDENTITIES[name](traj, path, spec.model, spec)
         assert [len(v) for v in seen] == [32, 32, 32, 5]
@@ -142,16 +142,17 @@ class TestChunking:
 def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
     """One transform call per axis and direction: a direct step makes 2, and a chunk of
     snapshots with one noise mode 0 for mass, 6 for H (its H^1 rows, X-hat shared by
-    |grad X|^2 and grad X), 2 for L^p and 10 for H^1.  grad X is transformed only when a
-    term reads it, and H reads H^1's lam_drift only with the dispersive substep off."""
-    cases = [  # spec, flags, calls per identity
+    |grad X|^2 and grad X), 2 for L^p and 10 for H^1, and 10 for all four in one pass (the
+    identity ladder's), which makes each shared transform once.  grad X is transformed only
+    when a term reads it, and H reads H^1's lam_drift only with the dispersive substep off."""
+    cases = [  # spec, flags, calls per identity, calls for all four
         (noisy_spec(mu=0.8 + 0.3j, lam=1), StepFlags(),
-         {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}),
-        (det_spec(lam=1), StepFlags(), {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 6}),
+         {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}, 10),
+        (det_spec(lam=1), StepFlags(), {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 6}, 6),
         (det_spec(lam=1), StepFlags(nonlinear=False),
-         {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 1}),
+         {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 1}, 2),
         (det_spec(lam=1), StepFlags(linear=False),
-         {"mass": 0, "hamiltonian": 6, "lp": 0, "h1": 6}),
+         {"mass": 0, "hamiltonian": 6, "lp": 0, "h1": 6}, 6),
     ]
     calls, kernels = [], (snls.spectral.fft_kernel, snls.spectral.ifft_kernel)
     for name, kernel in zip(("fft_kernel", "ifft_kernel"), kernels):
@@ -159,7 +160,7 @@ def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
             calls.append(kernel)
             return kernel(*args, **kw)
         monkeypatch.setattr(snls.spectral, name, counted)
-    for spec, flags, want in cases:
+    for spec, flags, want, want_all in cases:
         path = sample_path(spec.model, 0.03, 30, seed=3)
         traj = solve_direct(gaussian(0.8), path, spec, SolveOptions(stride=1, flags=flags))
         assert len(traj.times) <= chunk_steps(1, GRID)   # one chunk
@@ -172,6 +173,11 @@ def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
             fn(traj, path, spec.model, spec)
             counts[name] = len(calls)
         assert counts == want, flags
+        calls.clear()
+        db = np.zeros((len(traj.times), spec.model.n_modes))
+        snls.identities.identity_terms(traj.snapshots.rows(), db, path.dt, spec.model, spec,
+                                       flags, IDENTITY_NAMES)
+        assert len(calls) == want_all, flags
 
 
 class TestMassIdentity:

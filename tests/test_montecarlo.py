@@ -409,16 +409,20 @@ class TestConvergenceOrder:
 def hand_identity_ladder(x, spec, config):
     """Reference for identity_ladder: one path at a time, one level at a time,
     each trajectory checked as its snapshots keep it (a stopped path up to its
-    stop).  The boundary ratio is X's: of e^W y for the rescaled scheme, not of y."""
+    stop; a numeric failure up to its last finite row, whose time is the last
+    with a snapshot).  The boundary ratio is X's: of e^W y for the rescaled
+    scheme, not of y."""
     solver = solve_rescaled if config.scheme == "rescaled" else solve_direct
     options = replace(config.options, record_snapshots=True, stride=1)
     terminal = np.zeros((config.n_paths, 4, config.levels))
+    sup = np.zeros_like(terminal)
     boundary = y_boundary = 0.0
     for pid in range(config.n_paths):
         path = sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)
         for level in range(config.levels):
             traj = solver(x, path, spec, options)
             y_boundary = max(y_boundary, float(np.max(traj.diagnostic("boundary"))))
+            traj = replace(traj, times=traj.times[:len(traj.snapshots)])
             if config.scheme == "rescaled":
                 traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
             boundary = max(boundary, max(boundary_ratio(s) for s in traj.snapshots))
@@ -427,29 +431,36 @@ def hand_identity_ladder(x, spec, config):
                        lp_identity(traj, path, spec.model, spec),
                        h1_identity(traj, path, spec.model, spec)]
             terminal[pid, :, level] = [abs(r.terminal_residual) for r in reports]
+            sup[pid, :, level] = [np.max(np.abs(r.residual)) for r in reports]
             if pid == 0 and level == config.levels - 1:
                 finest = reports
             path = refine_path(path)
-    return terminal, finest, boundary, y_boundary
+    return terminal, sup, finest, boundary, y_boundary
 
 
 class TestIdentityLadder:
-    @pytest.mark.parametrize("scheme,grid,n_paths", [
-        ("direct", Grid(1, 256, 32.0), 40),     # blocks of 32 + 8
-        ("rescaled", GRID, 4),
+    @pytest.mark.parametrize("scheme,grid,n_paths,flags", [
+        pytest.param("direct", Grid(1, 256, 32.0), 40, StepFlags(),   # blocks of 32 + 8
+                     id="direct-grid0-40"),
+        pytest.param("rescaled", GRID, 4, StepFlags(), id="rescaled-grid1-4"),
+    ] + [   # the ladder's one pass over all four identities branches on the substep flags
+        pytest.param(scheme, GRID, 4, StepFlags(**{off: False}), id=f"{scheme}-no-{off}")
+        for scheme in ("direct", "rescaled") for off in ("linear", "nonlinear", "noise")
     ])
-    def test_matches_hand_loop_at_widths_1_and_2(self, scheme, grid, n_paths):
+    def test_matches_hand_loop_at_widths_1_and_2(self, scheme, grid, n_paths, flags):
         spec = spec_with_mode(1.0 + 0j, T=0.05, grid=grid)
         x = gaussian(grid=grid)
         config = EnsembleConfig(n_paths=n_paths, seed=6, n_steps=20, levels=2, width=1,
-                                scheme=scheme)
-        terminal, finest, boundary, y_boundary = hand_identity_ladder(x, spec, config)
+                                scheme=scheme, options=SolveOptions(record_snapshots=False,
+                                                                    flags=flags))
+        terminal, sup, finest, boundary, y_boundary = hand_identity_ladder(x, spec, config)
         for width in (1, 2):
             ladder = identity_ladder(x, spec, replace(config, width=width))
             names = list(ladder.terminal)
             assert names == ["mass", "hamiltonian", "lp", "h1"]
             for k, name in enumerate(names):
                 assert np.array_equal(ladder.terminal[name], terminal[:, k])
+                assert np.array_equal(ladder.sup[name], sup[:, k])
                 assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
             assert ladder.boundary_max == boundary
             assert ladder.statuses.shape == (n_paths, 2) and ladder.unfinished_paths == 0
@@ -462,7 +473,7 @@ class TestIdentityLadder:
         x = gaussian(width=3.0)
         config = EnsembleConfig(n_paths=2, seed=5, n_steps=20, levels=1, width=1,
                                 scheme="rescaled")
-        _, _, boundary, y_boundary = hand_identity_ladder(x, spec, config)
+        *_, boundary, y_boundary = hand_identity_ladder(x, spec, config)
         ladder = identity_ladder(x, spec, config)
         assert ladder.boundary_max == boundary
         assert boundary > y_boundary
@@ -477,13 +488,35 @@ class TestIdentityLadder:
             record_snapshots=False, thresholds=one_crossing_thresholds(x, spec, base)))
         stops = [s.t for s in run_ensemble(x, spec, config).statuses if s.kind == "blowup"]
         assert len(stops) == 1 and 0.0 < stops[0] < spec.T
-        terminal, finest, boundary, _ = hand_identity_ladder(x, spec, config)
+        terminal, sup, finest, boundary, _ = hand_identity_ladder(x, spec, config)
         for width in (1, 2):
             ladder = identity_ladder(x, spec, replace(config, width=width))
             assert ladder.statuses.tolist() == [["finished"] * 2] * 3 + [["blowup"] * 2] + [
                 ["finished"] * 2] * 2
             for k, name in enumerate(ladder.terminal):
                 assert np.array_equal(ladder.terminal[name], terminal[:, k])
+                assert np.array_equal(ladder.sup[name], sup[:, k])
+                assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
+            assert ladder.boundary_max == boundary
+
+    def test_a_numeric_failure_is_checked_up_to_its_last_finite_row(self):
+        # with the caps out of reach, each path's rescaled state turns non-finite after
+        # two steps: the failed row is never handed over, so the residuals end a step before
+        model = build_model([NoiseMode(1.0 + 0j, GaussianProfile(0.7, 3.0, (0, 0, 0)))], GRID)
+        spec, x = ProblemSpec(GRID, model, 3.0, -1, 0.05), gaussian(amp=200.0)
+        config = EnsembleConfig(n_paths=3, seed=6, n_steps=50, levels=2, width=1,
+                                scheme="rescaled", options=SolveOptions(
+                                    record_snapshots=False, thresholds=BlowupThresholds(
+                                        h1_factor=1e300, spacetime_factor=1e300)))
+        terminal, sup, finest, boundary, _ = hand_identity_ladder(x, spec, config)
+        assert np.all(terminal > 0) and np.all(np.isfinite(terminal))
+        for width in (1, 2):
+            ladder = identity_ladder(x, spec, replace(config, width=width))
+            assert set(ladder.statuses.ravel()) == {"numeric-failure"}
+            for k, name in enumerate(ladder.terminal):
+                assert np.array_equal(ladder.terminal[name], terminal[:, k])
+                assert np.array_equal(ladder.sup[name], sup[:, k])
+                assert ladder.finest[name].times.tolist() == [0.0, 0.0005]
                 assert np.array_equal(ladder.finest[name].residual, finest[k].residual)
             assert ladder.boundary_max == boundary
 
