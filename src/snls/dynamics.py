@@ -24,6 +24,7 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -211,10 +212,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # diagnostics and blowup monitoring
 
-def _critical_spacetime_exponent(d: int) -> float:
-    return 2.0 * (d + 2) / (d - 2)
-
-
 def _diag_rows(grid: Grid, v: np.ndarray, alpha: float, lam: int,
                q1: float | None) -> dict:
     """Diagnostics of each row of a (..., *grid.shape) block, one array each."""
@@ -398,9 +395,9 @@ class _RescaledStepper(_Stepper):
             raise CFLError(
                 f"dt*max|k|^2 = {dt * grid.k_max ** 2:.3f} exceeds "
                 f"{CFL_BOUND * CFL_SAFETY:.2f}; refine dt or coarsen the grid")
+        self.coeffs = np.stack([p.betas for p in paths], axis=1)   # solve_chunks' X reads them too
         if self.has_noise:
             self.fields = spec.model.derivative_stack
-            self.coeffs = np.stack([p.betas for p in paths], axis=1)
 
     def _path_arrays(self, sums: np.ndarray) -> list:
         """b = 2 grad W (one array per axis), c and the envelope e^{(a-1)Re W},
@@ -452,10 +449,21 @@ def step_rescaled(y: Field, t_index: int, path: WienerPath, spec: ProblemSpec,
 _STEPPERS = {"direct": _DirectStepper, "rescaled": _RescaledStepper}
 
 
-def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, scheme: str):
-    """solve_block's solve: yields row 0 (start -1), then each chunk, as (start, live, states,
-    kept): states[j] holds the paths `live` after step start + j + 1, and row r's first kept[r]
-    of them are kept; returns the trajectories."""
+def each_chunk(chunks, trajectories: list):
+    """A solve_chunks generator's chunks; then `trajectories` holds the ones it returns."""
+    trajectories[:] = yield from chunks
+
+
+def solve_chunks(x, paths: list, spec: ProblemSpec,
+                 options: SolveOptions = SolveOptions(), scheme: str = "direct"):
+    """Integrate one scheme along each of `paths` (one time grid) from x (one Field, or one
+    initial state per path) as one (B, *grid.shape) block, in chunks of chunk_steps(B, grid).
+    A path stops at its first event (non-finite state or blowup crossing) and its row leaves
+    the block.  Yields the kept rows of row 0 and then of each chunk that has one as (t, b, X):
+    a path's rows before its stop, and a blowup row.  Snapshots X's row i is path b[i] at time
+    index t[i], read as e^W y for the rescaled scheme.  Returns one Trajectory per path (y for
+    the rescaled scheme), whose snapshots are its kept rows due by stride and a blowup row.
+    It yields in the caller's error state."""
     if spec.regime.tag == REGIME_OUT_OF_RANGE:
         raise RegimeError(
             f"(d={spec.d}, alpha={spec.alpha}, lambda={spec.lam}) is out of range")
@@ -466,56 +474,59 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
     grid, n_paths, n_steps = spec.grid, len(paths), paths[0].n_steps
     chunk = chunk_steps(n_paths, grid)
     stepper = _STEPPERS[scheme](spec, paths, options.flags)
-    q1 = _critical_spacetime_exponent(spec.d) if spec.regime.tag == REGIME_ENERGY_CRIT else None
+    q1 = 2.0 * (spec.d + 2) / (spec.d - 2) if spec.regime.tag == REGIME_ENERGY_CRIT else None
     x0 = np.broadcast_to(x.values if isinstance(x, Field) else x, (n_paths, *grid.shape))
     v = np.array(x0, dtype=np.complex128, order="C")
-    row = _diag_rows(grid, v, spec.alpha, spec.lam, q1)
-    series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in row}
-    for k, s in series.items():
-        s[:, 0] = row[k]
+    states = v[None]   # row 0: a chunk of one row that no step made
+    rows, events = _diag_rows(grid, states, spec.alpha, spec.lam, q1), {}
+    series = {k: np.full((n_paths, n_steps + 1), np.nan) for k in rows}
     # room for every stride-th row and a blowup row; pages that are never written cost nothing
     cap = n_steps // options.stride + 2 if options.record_snapshots else 0
     snaps, indices = [np.empty((cap, *grid.shape), complex) for _ in paths], [[] for _ in paths]
-    monitor = BlowupMonitor(spec, options.thresholds, row)
+    monitor = BlowupMonitor(spec, options.thresholds, {k: r[0] for k, r in rows.items()})
     statuses = [TrajectoryStatus("finished", p.horizon) for p in paths]
     last = np.full(n_paths, n_steps)
     live = np.arange(n_paths)   # the path of each row of the block
-
-    def hand_off(start, states, kept):   # snapshots: the kept rows due by stride, and a blowup row
-        for r, b in enumerate(live.tolist() if options.record_snapshots else []):
-            t = np.arange(start + 1, start + 1 + kept[r])
-            t = t[(t % options.stride == 0) | (t == last[b]) & statuses[b].is_blowup]
-            n = len(indices[b])   # one copy of the path's rows, unbuffered (mode="clip")
-            np.take(states[:, r], t - start - 1, axis=0, out=snaps[b][n:n + len(t)], mode="clip")
-            indices[b] += t.tolist()
-        return start, live, states, kept
-
-    yield hand_off(-1, v[None], np.ones(n_paths, dtype=int))
-    for start in range(0, n_steps, chunk):
-        k = min(chunk, n_steps - start)
-        # a path's state may overflow before its non-finite row stops it; the
-        # caller's error state is back before the chunk is handed off
-        with np.errstate(over="ignore", invalid="ignore"):
-            states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
-            arrays = stepper.path_chunk(start, k, live)
-            for j, step_arrays in enumerate(zip(*arrays) if arrays else [()] * k):
-                v = states[j] = stepper.step(v, step_arrays)
-            del arrays, step_arrays   # the chunk's path arrays go before its diagnostics
-            rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
-            failed = ~np.isfinite(states).reshape(k, len(live), -1).all(axis=2)
-            if failed.any():
-                for r in rows.values():
-                    r[failed] = np.nan
-            for key, r in rows.items():
-                series[key][live, start + 1:start + k + 1] = r.T
-            events = monitor.scan(stepper.dt, rows, failed, live)
-        kept = np.full(len(live), k)   # a path's rows before its stop, and a blowup row
+    betas = stepper.coeffs.reshape((n_steps + 1) * n_paths, -1) if scheme == "rescaled" else None
+    for start in chain([-1], range(0, n_steps, chunk)):
+        if start >= 0:
+            k = min(chunk, n_steps - start)
+            # a path's state may overflow before its non-finite row stops it; the
+            # caller's error state is back before the chunk is handed off
+            with np.errstate(over="ignore", invalid="ignore"):
+                states = np.empty((k, len(live), *grid.shape), dtype=np.complex128)
+                arrays = stepper.path_chunk(start, k, live)
+                for j, step_arrays in enumerate(zip(*arrays) if arrays else [()] * k):
+                    v = states[j] = stepper.step(v, step_arrays)
+                del arrays, step_arrays   # the chunk's path arrays go before its diagnostics
+                rows = _diag_rows(grid, states, spec.alpha, spec.lam, q1)
+                failed = ~np.isfinite(states).reshape(k, len(live), -1).all(axis=2)
+                if failed.any():
+                    for r in rows.values():
+                        r[failed] = np.nan
+                events = monitor.scan(stepper.dt, rows, failed, live)
+        for key, r in rows.items():
+            series[key][live, start + 1:start + len(states) + 1] = r.T
+        kept = np.full(len(live), len(states))   # a path's rows before its stop, and a blowup row
         for row, (stop, kind, reason) in events.items():
             b = live[row]
             last[b] = start + stop + 1
             statuses[b] = TrajectoryStatus(kind, float(paths[b].times[last[b]]), reason)
             kept[row] = stop + (kind == "blowup")
-        yield hand_off(start, states, kept)
+        # kept row r of states[j] is path live[r] after step start + j + 1
+        j, r = np.nonzero(np.arange(len(states))[:, None] < kept)
+        t, b = start + 1 + j, live[r]
+        # row i of X is states[j[i], r[i]]: a view of the chunk unless a path stopped in it
+        X = states.reshape(-1, *grid.shape) if len(j) == len(states) * len(live) else states[j, r]
+        for row, p in enumerate(live.tolist() if options.record_snapshots else []):
+            i = np.flatnonzero(r == row)   # snapshots: the kept rows due by stride, a blowup row
+            i = i[(t[i] % options.stride == 0) | (t[i] == last[p]) & statuses[p].is_blowup]
+            n = len(indices[p])   # one copy of the path's rows, unbuffered (mode="clip")
+            np.take(X, i, axis=0, out=snaps[p][n:n + len(i)], mode="clip")
+            indices[p] += t[i].tolist()
+        if len(t):
+            yield t, b, Snapshots(grid, X, spec.model, betas, t * n_paths + b)
+        del states, X, j, r, t, b   # not held while the next chunk is solved
         if events:   # a stopped path's row leaves the block
             keep = [row for row in range(len(live)) if row not in events]
             if not keep:
@@ -530,41 +541,12 @@ def _block_chunks(x, paths: list, spec: ProblemSpec, options: SolveOptions, sche
             for b, path in enumerate(paths)]
 
 
-def each_chunk(chunks, trajectories: list):
-    """A solve_chunks generator's chunks; then `trajectories` holds the ones it returns."""
-    trajectories[:] = yield from chunks
-
-
-def solve_chunks(x, paths: list, spec: ProblemSpec,
-                 options: SolveOptions = SolveOptions(), scheme: str = "direct"):
-    """solve_block, yielding the kept rows of row 0 and then of each chunk that has one as
-    (t, b, X): Snapshots X's row i is path b[i] at time index t[i], read as e^W y for the
-    rescaled scheme.  It returns the trajectories, and yields in the caller's error state."""
-    trajectories, betas = [], None
-    for start, live, states, kept in each_chunk(_block_chunks(x, paths, spec, options, scheme),
-                                                trajectories):
-        j, r = np.nonzero(np.arange(len(states))[:, None] < kept)
-        t, b = start + 1 + j, live[r]
-        X = states.reshape(-1, *states.shape[2:])   # its row j * len(live) + r is states[j, r]
-        if len(j) < len(X):   # a path stopped in this chunk
-            X = X[j * len(live) + r]
-        if len(t) and scheme == "rescaled" and betas is None:   # path b's at t: row b * (N + 1) + t
-            betas = np.concatenate([p.betas for p in paths])
-        if len(t):
-            yield t, b, Snapshots(spec.grid, X, spec.model, betas, b * (paths[0].n_steps + 1) + t)
-        del states, X   # not held while the next chunk is solved
-    return trajectories
-
-
 def solve_block(x, paths: list, spec: ProblemSpec,
                 options: SolveOptions = SolveOptions(), scheme: str = "direct") -> list:
-    """Integrate one scheme along each of `paths` (one time grid) from x (one Field, or one
-    initial state per path) as one (B, *grid.shape) block, in chunks of chunk_steps(B, grid).
-    One Trajectory per path (y for the rescaled scheme): a path stops at its first event
-    (non-finite state or blowup crossing), keeping its rows before it and a blowup row, from
-    which snapshots are taken, and its row leaves the block.  solve_chunks yields the kept rows."""
+    """solve_chunks' trajectories, its chunks dropped as they are handed off: nothing reads X,
+    so no rescaled row is turned into X."""
     trajectories = []   # a for loop would hold each chunk while the next is solved
-    deque(each_chunk(_block_chunks(x, paths, spec, options, scheme), trajectories), maxlen=0)
+    deque(each_chunk(solve_chunks(x, paths, spec, options, scheme), trajectories), maxlen=0)
     return trajectories
 
 

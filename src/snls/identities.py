@@ -5,14 +5,15 @@ mass, Hamiltonian, L^p power (p = alpha+1), or gradient energy -- from
 per-step snapshots, with deterministic ds-integrals as left-Riemann sums and
 stochastic integrals as left-point (Ito) sums on the same grid.  The
 residual series r(t) = LHS(t) - RHS(t) starts at exactly zero and, for a
-correct scheme, shrinks under coupled path refinement.
+correct scheme, shrinks under coupled path refinement.  A numeric failure's
+trajectory is checked up to its last finite row, the last with a snapshot.
 
 Time is the batch axis: identity_terms makes, for a stack of rows (views of
 the trajectory's snapshot array here, solve_chunks' chunks in the identity
 ladder), each requested identity's per-row LHS and term increments by
-`spectral`'s row-wise functions, computing the transforms the identities
-share once per stack; identity_report sums them into series, so a report
-depends on no chunking or stacking.
+`spectral`'s row-wise functions, computing the transforms and phase integrals
+the identities share once per stack; identity_report sums them into series,
+so a report depends on no chunking or stacking.
 
 Substep test flags are honored so that each identity matches the equation
 actually integrated: terms sourced by a disabled substep are dropped, and
@@ -68,15 +69,22 @@ def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
 
 
 def _phase_terms(grid: Grid, model: NoiseModel, abs_p: np.ndarray, db: np.ndarray,
-                 qv: float, mart: float):
-    """Per-row increments qv sum_j int (Re phi_j)^2 |X|^p and mart sum_j int Re phi_j |X|^p
-    dbeta_j, from abs_p = |X|^p: an identity's qv_phase and mart_phase."""
-    qv_phase, mart_phase = np.zeros(len(abs_p)), np.zeros(len(abs_p))
+                 scales: dict) -> dict:
+    """{name: [qv_phase, mart_phase]} of each name's factors (qv, mart) in scales: per-row
+    increments qv sum_j int (Re phi_j)^2 |X|^p and mart sum_j int Re phi_j |X|^p dbeta_j from
+    abs_p = |X|^p, each mode's two integrals made once for every name."""
+    out = {}
+    for name in scales:
+        out[name] = [np.zeros(len(abs_p)), np.zeros(len(abs_p))]
     for j, phi in enumerate(model.phi_fields):
         re_phi = phi.real
-        qv_phase += qv * quadrature(grid, re_phi ** 2 * abs_p)
-        mart_phase += mart * quadrature(grid, re_phi * abs_p) * db[:, j]
-    return qv_phase, mart_phase
+        sq = quadrature(grid, re_phi ** 2 * abs_p)
+        for name, (qv, _) in scales.items():
+            out[name][0] += qv * sq
+        lin = quadrature(grid, re_phi * abs_p)
+        for name, (_, mart) in scales.items():
+            out[name][1] += mart * lin * db[:, j]
+    return out
 
 
 def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
@@ -91,8 +99,8 @@ def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
     """{name: rows} of each identity in `names` for a (R, *grid.shape) stack of rows v, with db
     the (R, N) left-point increments starting at the rows: rows = {"lhs": each row's LHS, term:
     each row's increment}, the terms in the order their series are summed.  X-hat (with
-    |grad X|^2 and grad X), grad(mu X), each grad(phi_j X), grad theta_m g and |X|^p are made
-    at most once; m is the cutoff scale of lam_drift's theta_m."""
+    |grad X|^2 and grad X), grad(mu X), each grad(phi_j X), grad theta_m g, |X|^p and each
+    mode's phase integrals are made at most once; m is the cutoff scale of lam_drift's theta_m."""
     grid, noisy = model.grid, flags.noise and model.n_modes > 0
     ham, h1, lp = "hamiltonian" in names, "h1" in names, "lp" in names
     out, gv = {}, None
@@ -139,27 +147,28 @@ def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
             out["h1"] = h1_rows
         if not (lp and flags.linear):
             gv = None   # not held while |X|^p is made
-    if ham or lp:
-        p = spec.alpha + 1.0
+    if ham or lp:   # scales: H's and L^p's (qv, mart) phase-term factors
+        p, lam_eff, scales = spec.alpha + 1.0, spec.lam if flags.nonlinear else 0, {}
         abs_p = guarded_abs_power(v, p)
     if ham:   # H = |grad X|^2 / 2 - (lam/p)|X|_p^p: half the H^1 rows and the phase terms
-        lam_eff = spec.lam if flags.nonlinear else 0
         rows = {k: 0.5 * r for k, r in h1_rows.items() if k != "lam_drift" or not flags.linear}
         rows["lhs"] = rows["lhs"] - (lam_eff / p) * quadrature(grid, abs_p)
-        if noisy:
-            qv, mart = _phase_terms(grid, model, abs_p, db,
-                                    -0.5 * lam_eff * (spec.alpha - 1.0) * dt, -lam_eff)
-            rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
         out["hamiltonian"] = rows
+        scales["hamiltonian"] = (-0.5 * lam_eff * (spec.alpha - 1.0) * dt, -lam_eff)
     if lp:
         rows = out["lp"] = {"lhs": quadrature(grid, abs_p), "grad_drift": np.zeros(len(v))}
         if flags.linear:
             gv = gradient_arrays(grid, v) if gv is None else gv
             gg = _grad_g_pointwise(v, gv, p)
             rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
-        if noisy:
-            rows["qv_phase"], rows["mart_phase"] = _phase_terms(grid, model, abs_p, db,
-                                                                0.5 * p * (p - 2.0) * dt, p)
+        scales["lp"] = (0.5 * p * (p - 2.0) * dt, p)
+    if noisy and (ham or lp):   # H's and L^p's phase terms come last, from one pass over the modes
+        phase = _phase_terms(grid, model, abs_p, db, scales)
+        if ham:   # H's mart_grad series is summed between its two phase terms
+            rows, (qv, mart) = out["hamiltonian"], phase["hamiltonian"]
+            rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
+        if lp:
+            out["lp"]["qv_phase"], out["lp"]["mart_phase"] = phase["lp"]
     return out
 
 
@@ -177,7 +186,7 @@ def identity_report(name, times, path, rows: dict) -> IdentityReport:
 
 def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, m=None):
     """One identity along a trajectory's per-step snapshots, read in chunks of rows."""
-    n = len(traj.times)
+    n = len(traj.times) - (traj.status.kind == "numeric-failure")   # a failed row has no snapshot
     if traj.snapshot_indices != list(range(n)):
         raise StrideError("identity checks require per-step snapshots (stride 1)")
     if n - 1 > path.n_steps or n > 1 and abs(traj.times[1] - traj.times[0] - path.dt) > 1e-14:
@@ -187,8 +196,8 @@ def _check(name, traj: Trajectory, path: WienerPath, model: NoiseModel, spec, m=
     size = chunk_steps(1, model.grid)   # the rows one solver chunk holds for one path
     chunks = [identity_terms(traj.snapshots.rows(a, a + size), db[a:a + size], path.dt, model,
                              spec, traj.flags, (name,), m)[name] for a in range(0, n, size)]
-    return identity_report(name, traj.times, path, {k: np.concatenate([c[k] for c in chunks])
-                                                    for k in chunks[0]})
+    return identity_report(name, traj.times[:n], path, {k: np.concatenate([c[k] for c in chunks])
+                                                        for k in chunks[0]})
 
 
 def mass_identity(traj: Trajectory, path: WienerPath, model: NoiseModel) -> IdentityReport:

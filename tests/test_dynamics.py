@@ -488,7 +488,8 @@ class TestChunkInvariance:
             assert p.values.tobytes() == q.values.tobytes()
 
     @pytest.mark.parametrize("scheme", ["direct", "rescaled"])
-    @pytest.mark.parametrize("case", ["real", "blowup", "non-finite"])
+    @pytest.mark.parametrize("case", ["real", "complex", "three-mode", "blowup",
+                                      "non-finite", "energy-critical"])
     def test_solve_block_drains_the_chunk_generator(self, monkeypatch, case, scheme):
         # the generator's trajectories, with no y_to_X work when nothing reads X
         spec, x, paths, opts, _ = chunk_case(case)

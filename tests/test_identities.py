@@ -48,9 +48,28 @@ class TestReportStructure:
     def test_stride_enforced(self):
         spec = noisy_spec()
         path = sample_path(spec.model, 0.25, 50, seed=1)
-        traj = solve_direct(gaussian(), path, spec, SolveOptions(stride=5))
-        with pytest.raises(StrideError):
-            mass_identity(traj, path, spec.model)
+        for options in (SolveOptions(stride=5), SolveOptions(record_snapshots=False)):
+            traj = solve_direct(gaussian(), path, spec, options)
+            with pytest.raises(StrideError):
+                mass_identity(traj, path, spec.model)
+
+    def test_a_numeric_failure_is_checked_to_its_last_finite_row(self):
+        # the solver keeps no snapshot of the failed row: each check ends one row before it,
+        # with the bits of the same rows of a run that did not fail
+        spec = noisy_spec()
+        path = sample_path(spec.model, 0.25, 50, seed=1)
+        good = solve_direct(gaussian(), path, spec, STRIDE1)
+        failing = replace(path, increments=path.increments.copy())
+        failing.increments[29] = 1e3   # the noise factor of step 30 overflows
+        traj = solve_direct(gaussian(), failing, spec, STRIDE1)
+        assert traj.status.kind == "numeric-failure" and len(traj.times) == 31
+        for check in (mass_identity, hamiltonian_identity, lp_identity, h1_identity):
+            args = (spec.model,) if check is mass_identity else (spec.model, spec)
+            rep, ref = check(traj, failing, *args), check(good, path, *args)
+            assert rep.times.tolist() == traj.times[:30].tolist()
+            assert rep.residual.tobytes() == ref.residual[:30].tobytes()
+            for name, series in rep.terms.items():
+                assert series.tobytes() == ref.terms[name][:30].tobytes()
 
     def test_shared_increments_across_identities(self):
         spec = noisy_spec()

@@ -422,7 +422,6 @@ def hand_identity_ladder(x, spec, config):
         for level in range(config.levels):
             traj = solver(x, path, spec, options)
             y_boundary = max(y_boundary, float(np.max(traj.diagnostic("boundary"))))
-            traj = replace(traj, times=traj.times[:len(traj.snapshots)])
             if config.scheme == "rescaled":
                 traj = replace(traj, snapshots=rescaled_to_X(traj, path, spec.model))
             boundary = max(boundary, max(boundary_ratio(s) for s in traj.snapshots))
