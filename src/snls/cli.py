@@ -16,9 +16,9 @@ from dataclasses import replace
 import numpy as np
 
 from .config import (ConfigError, RunConfig, SnapshotError, build_initial, build_problem,
-                     check_levels, parse_config, solve_options, write_snapshot)
-from .dynamics import (CFLError, NoContractionError, RegimeError, Trajectory, each_chunk,
-                       solve_block, solve_chunks)
+                     check_levels, parse_config, solve_options, write_snapshot, write_table)
+from .dynamics import (CFLError, NoContractionError, RegimeError, each_chunk, solve_block,
+                       solve_chunks)
 from .identities import IDENTITY_NAMES
 from .montecarlo import (EnsembleConfig, convergence_order, identity_ladder,
                          martingale_test, moment_monitor, run_ensemble)
@@ -58,15 +58,6 @@ def _trust_lines(boundary_max: float, prefix: str = "") -> list:
             f"{prefix}boundary_trusted={str(boundary_max < BOUNDARY_DECAY_TOL).lower()}"]
 
 
-def _write_diagnostics(path, traj: Trajectory):
-    cols = ("mass", "hamiltonian", "h1", "lp")
-    with open(path, "w") as fh:
-        fh.write("t,mass,hamiltonian,h1,l_alpha_plus_1\n")
-        for i, t in enumerate(traj.times):
-            vals = ",".join(repr(float(traj.diagnostic(c)[i])) for c in cols)
-            fh.write(f"{float(t)!r},{vals}\n")
-
-
 def _write_summary(out: str, lines: list):
     with open(os.path.join(out, "summary.txt"), "w") as fh:
         fh.writelines(line + "\n" for line in lines)
@@ -89,7 +80,9 @@ def cmd_simulate(args) -> int:
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
                 ratios.append(np.max(boundary_ratios(spec.grid, np.abs(X.rows()))))
         (traj,) = trajs
-        _write_diagnostics(os.path.join(out, f"diagnostics_{scheme}.csv"), traj)
+        diag = {name: traj.diagnostic(name) for name in ("mass", "hamiltonian", "h1")}
+        write_table(os.path.join(out, f"diagnostics_{scheme}.csv"),
+                    {"t": traj.times, **diag, "l_alpha_plus_1": traj.diagnostic("lp")})
         for idx, snap in zip(traj.snapshot_indices, traj.snapshots):
             write_snapshot(os.path.join(out, f"snapshot_{scheme}_{idx:06d}.bin"),
                            snap, float(traj.times[idx]))
@@ -167,10 +160,8 @@ def cmd_convergence(args) -> int:
     for scheme in _schemes(cfg):
         rep = convergence_order(x, spec, _ensemble_config(cfg, scheme, levels=levels))
         summary.extend(rep.summary_lines())
-        with open(os.path.join(out, f"convergence_{scheme}.csv"), "w") as fh:
-            fh.write("level,strong_error\n")
-            for lv, e in zip(rep.levels, rep.errors):
-                fh.write(f"{lv},{e!r}\n")
+        write_table(os.path.join(out, f"convergence_{scheme}.csv"),
+                    {"level": rep.levels, "strong_error": rep.errors})
     _write_summary(out, summary)
     return 0
 

@@ -1,4 +1,4 @@
-"""Run configuration (INI-style key = value sections) and field snapshots.
+"""Run configuration (INI-style key = value sections), field snapshots and CSV tables.
 
 The format is one table of rows per section, read by parse_config and
 serialize_config alike: parse(serialize(cfg)) == cfg.  Out-of-range exponent
@@ -21,7 +21,7 @@ import numpy as np
 from .dynamics import (BlowupThresholds, ProblemSpec, Regime, SolveOptions,
                        StepFlags, classify)
 from .noise import (ConstantProfile, CosineProfile, GaussianProfile,
-                    NoiseMode, NoiseModel, build_model)
+                    NoiseMode, NoiseModel, build_model, plane_wave_phase)
 from .spectral import Field, Grid
 
 
@@ -315,11 +315,7 @@ def build_initial(cfg: RunConfig, grid: Grid) -> Field:
             raise ConfigError("the sech soliton datum is one-dimensional")
         values = ini.amplitude / np.cosh(grid.meshes[0] - ini.center[0])
     elif ini.kind == "plane-wave":
-        phase = np.zeros(grid.shape)
-        scale = 2.0 * np.pi / grid.length
-        for ax, mesh in enumerate(grid.meshes):
-            phase = phase + scale * ini.kmode[ax] * mesh
-        values = ini.amplitude * np.exp(1j * phase)
+        values = ini.amplitude * np.exp(1j * plane_wave_phase(grid, ini.kmode))
     else:
         fld, _t = read_snapshot(ini.path)
         if fld.grid != grid:
@@ -339,11 +335,12 @@ def solve_options(cfg: RunConfig, stride: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# snapshot files
+# output files: field snapshots and CSV tables
 
 SNAPSHOT_MAGIC = b"SNLS"
 SNAPSHOT_VERSION = 1
 _HEADER = struct.Struct("<4sHHIdd")   # magic, version, d, n, L, t
+TABLE_BLOCK_ROWS = 64   # rows made Python numbers at a time: a long table makes no list of them
 
 
 class SnapshotError(ValueError):
@@ -377,3 +374,14 @@ def read_snapshot(path):
     grid = Grid(d, n, length)
     values = np.frombuffer(payload, dtype="<c16").reshape(grid.shape)
     return Field(grid, values.astype(np.complex128)), t
+
+
+def write_table(path, columns: dict, comment: str = ""):
+    """A CSV of `columns` (name -> values): a `# comment` line if given, the names, then one row
+    per index, each value the repr of np.asarray(values).tolist()'s entry (ints stay ints)."""
+    cols = [np.asarray(values) for values in columns.values()]
+    with open(path, "w") as fh:
+        fh.write((f"# {comment}\n" if comment else "") + ",".join(columns) + "\n")
+        for a in range(0, min(map(len, cols)), TABLE_BLOCK_ROWS):
+            rows = zip(*(col[a:a + TABLE_BLOCK_ROWS].tolist() for col in cols))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

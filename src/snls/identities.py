@@ -11,7 +11,7 @@ trajectory is checked up to its last finite row, the last with a snapshot.
 Time is the batch axis: identity_terms makes, for a stack of rows (views of
 the trajectory's snapshot array here, solve_chunks' chunks in the identity
 ladder), each requested identity's per-row LHS and term increments by
-`spectral`'s row-wise functions, computing the transforms and phase integrals
+`spectral`'s row-wise functions, computing the transforms and phase sums
 the identities share once per stack; identity_report sums them into series,
 so a report depends on no chunking or stacking.
 
@@ -28,10 +28,11 @@ from functools import partial
 
 import numpy as np
 
+from .config import write_table
 from .dynamics import ProblemSpec, Trajectory, chunk_steps
 from .noise import NoiseModel, WienerPath
-from .spectral import (Grid, grad_sq_norms, grad_sq_norms_and_arrays, gradient_arrays,
-                       guarded_abs_power, nyquist_cutoff, quadrature, theta_m_values)
+from .spectral import (Grid, apply_symbol, cutoff_symbol, grad_sq_norms, grad_sq_norms_and_arrays,
+                       gradient_arrays, guarded_abs_power, nyquist_cutoff, quadrature)
 
 
 class StrideError(ValueError):
@@ -53,38 +54,14 @@ class IdentityReport:
         return float(self.residual[-1])
 
     def to_csv(self, path):
-        names = list(self.terms)
-        header = "t,residual," + ",".join(f"term_{i+1}" for i in range(len(names)))
-        cols = [self.times, self.residual] + [self.terms[n] for n in names]
-        with open(path, "w") as fh:
-            fh.write("# terms: " + ",".join(names) + "\n")
-            fh.write(header + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        terms = {f"term_{i + 1}": series for i, series in enumerate(self.terms.values())}
+        write_table(path, {"t": self.times, "residual": self.residual, **terms},
+                    comment="terms: " + ",".join(self.terms))
 
 
 def _re_inner(grid: Grid, us: list, vs: list) -> np.ndarray:
     """sum_a Re int u_a conj(v_a) of each row."""
     return sum(quadrature(grid, np.multiply(u, np.conj(v)).real) for u, v in zip(us, vs))
-
-
-def _phase_terms(grid: Grid, model: NoiseModel, abs_p: np.ndarray, db: np.ndarray,
-                 scales: dict) -> dict:
-    """{name: [qv_phase, mart_phase]} of each name's factors (qv, mart) in scales: per-row
-    increments qv sum_j int (Re phi_j)^2 |X|^p and mart sum_j int Re phi_j |X|^p dbeta_j from
-    abs_p = |X|^p, each mode's two integrals made once for every name."""
-    out = {}
-    for name in scales:
-        out[name] = [np.zeros(len(abs_p)), np.zeros(len(abs_p))]
-    for j, phi in enumerate(model.phi_fields):
-        re_phi = phi.real
-        sq = quadrature(grid, re_phi ** 2 * abs_p)
-        for name, (qv, _) in scales.items():
-            out[name][0] += qv * sq
-        lin = quadrature(grid, re_phi * abs_p)
-        for name, (_, mart) in scales.items():
-            out[name][1] += mart * lin * db[:, j]
-    return out
 
 
 def _grad_g_pointwise(v: np.ndarray, gv: list, p: float) -> list:
@@ -99,8 +76,8 @@ def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
     """{name: rows} of each identity in `names` for a (R, *grid.shape) stack of rows v, with db
     the (R, N) left-point increments starting at the rows: rows = {"lhs": each row's LHS, term:
     each row's increment}, the terms in the order their series are summed.  X-hat (with
-    |grad X|^2 and grad X), grad(mu X), each grad(phi_j X), grad theta_m g, |X|^p and each
-    mode's phase integrals are made at most once; m is the cutoff scale of lam_drift's theta_m."""
+    |grad X|^2 and grad X), grad(mu X), each grad(phi_j X), grad theta_m g, |X|^p and the two
+    phase sums are made at most once; m is the cutoff scale of lam_drift's theta_m."""
     grid, noisy = model.grid, flags.noise and model.n_modes > 0
     ham, h1, lp = "hamiltonian" in names, "h1" in names, "lp" in names
     out, gv = {}, None
@@ -134,12 +111,11 @@ def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
                 mart_grad += _re_inner(grid, g_phiv, gv) * db[:, j]
             del g_phiv   # a stack of the chunk's size, not held while lam_drift's are made
             h1_rows["mu_drift"], h1_rows["qv_grad"] = 2.0 * mu_drift, 2.0 * qv_grad
-        if lam_drift:
+        if lam_drift:   # grad theta_m g: one multiplier, bump(|k|/m) (d_1 ... d_d), of g
             g = np.multiply(guarded_abs_power(v, spec.alpha - 1.0), v)
-            ggm = gradient_arrays(grid, theta_m_values(grid, g, nyquist_cutoff(grid) if m is None
-                                                       else m))
-            h1_rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, [1j * ga for ga in ggm],
-                                                               gv) * dt
+            cut = cutoff_symbol(grid, nyquist_cutoff(grid) if m is None else m)
+            ggm = apply_symbol(grid, g, cut * grid.symbols[1:])
+            h1_rows["lam_drift"] = -2.0 * spec.lam * _re_inner(grid, 1j * ggm, gv) * dt
             del g, ggm
         if noisy:
             h1_rows["mart_grad"] = 2.0 * mart_grad
@@ -147,28 +123,28 @@ def identity_terms(v, db, dt, model, spec, flags, names, m=None) -> dict:
             out["h1"] = h1_rows
         if not (lp and flags.linear):
             gv = None   # not held while |X|^p is made
-    if ham or lp:   # scales: H's and L^p's (qv, mart) phase-term factors
-        p, lam_eff, scales = spec.alpha + 1.0, spec.lam if flags.nonlinear else 0, {}
-        abs_p = guarded_abs_power(v, p)
+    if ham or lp:   # |X|^p and the phase sums qv = sum_j int (Re phi_j)^2 |X|^p and
+        # mart = sum_j int Re phi_j |X|^p dbeta_j, which H and L^p scale
+        p, lam_eff = spec.alpha + 1.0, spec.lam if flags.nonlinear else 0
+        abs_p, qv, mart = guarded_abs_power(v, p), np.zeros(len(v)), np.zeros(len(v))
+        for j, phi in enumerate(model.phi_fields if noisy else ()):
+            qv += quadrature(grid, phi.real ** 2 * abs_p)
+            mart += quadrature(grid, phi.real * abs_p) * db[:, j]
     if ham:   # H = |grad X|^2 / 2 - (lam/p)|X|_p^p: half the H^1 rows and the phase terms
         rows = {k: 0.5 * r for k, r in h1_rows.items() if k != "lam_drift" or not flags.linear}
         rows["lhs"] = rows["lhs"] - (lam_eff / p) * quadrature(grid, abs_p)
+        if noisy:   # mart_grad is summed between the phase terms; 0.0 - x is +0.0 at x = 0
+            rows.update(qv_phase=0.0 - 0.5 * lam_eff * (spec.alpha - 1.0) * dt * qv,
+                        mart_grad=rows.pop("mart_grad"), mart_phase=0.0 - lam_eff * mart)
         out["hamiltonian"] = rows
-        scales["hamiltonian"] = (-0.5 * lam_eff * (spec.alpha - 1.0) * dt, -lam_eff)
     if lp:
         rows = out["lp"] = {"lhs": quadrature(grid, abs_p), "grad_drift": np.zeros(len(v))}
         if flags.linear:
             gv = gradient_arrays(grid, v) if gv is None else gv
             gg = _grad_g_pointwise(v, gv, p)
             rows["grad_drift"] = -p * _re_inner(grid, [1j * ga for ga in gg], gv) * dt
-        scales["lp"] = (0.5 * p * (p - 2.0) * dt, p)
-    if noisy and (ham or lp):   # H's and L^p's phase terms come last, from one pass over the modes
-        phase = _phase_terms(grid, model, abs_p, db, scales)
-        if ham:   # H's mart_grad series is summed between its two phase terms
-            rows, (qv, mart) = out["hamiltonian"], phase["hamiltonian"]
-            rows.update(qv_phase=qv, mart_grad=rows.pop("mart_grad"), mart_phase=mart)
-        if lp:
-            out["lp"]["qv_phase"], out["lp"]["mart_phase"] = phase["lp"]
+        if noisy:
+            rows.update(qv_phase=0.5 * p * (p - 2.0) * dt * qv, mart_phase=p * mart)
     return out
 
 

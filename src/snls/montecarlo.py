@@ -24,7 +24,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import ConfigError
+from .config import ConfigError, write_table
 from .dynamics import (BLOCK_POINTS, ProblemSpec, RegimeError, SolveOptions, each_chunk,
                        solve_block, solve_chunks)
 # not called here: the benchmark's tracer (bench/spans.py) patches these names
@@ -91,16 +91,11 @@ class EnsembleReport:
         return np.sqrt(self.variance(obs) / finite)
 
     def to_csv(self, path):
-        names = list(self.per_path)
-        header = ["t"]
-        cols = [self.times]
-        for obs in names:
-            header += [f"{obs}_mean", f"{obs}_var", f"{obs}_ci3"]
-            cols += [self.mean(obs), self.variance(obs), 3.0 * self.stderr(obs)]
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        columns = {"t": self.times}
+        for obs in self.per_path:
+            columns.update({f"{obs}_mean": self.mean(obs), f"{obs}_var": self.variance(obs),
+                            f"{obs}_ci3": 3.0 * self.stderr(obs)})
+        write_table(path, columns)
 
 
 def ensemble_width(config: EnsembleConfig) -> int:

@@ -60,11 +60,16 @@ class CosineProfile:
     kmode: tuple = (1, 0, 0)
 
     def evaluate(self, grid: Grid) -> np.ndarray:
-        phase = np.zeros(grid.shape)
-        scale = 2.0 * np.pi / grid.length
-        for ax, mesh in enumerate(grid.meshes):
-            phase = phase + scale * self.kmode[ax] * mesh
-        return self.height * np.cos(phase)
+        return self.height * np.cos(plane_wave_phase(grid, self.kmode))
+
+
+def plane_wave_phase(grid: Grid, kmode: tuple) -> np.ndarray:
+    """The phase k . xi on the grid, k = 2*pi/L * kmode (integer per axis)."""
+    phase = np.zeros(grid.shape)
+    scale = 2.0 * np.pi / grid.length
+    for ax, mesh in enumerate(grid.meshes):
+        phase = phase + scale * kmode[ax] * mesh
+    return phase
 
 
 @dataclass(frozen=True)

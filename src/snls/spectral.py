@@ -300,9 +300,14 @@ def theta_m(u: Field, m: float) -> Field:
 
 def theta_m_values(grid: Grid, values: np.ndarray, m: float) -> np.ndarray:
     """theta_m of each row."""
+    return apply_symbol(grid, values, cutoff_symbol(grid, m))
+
+
+def cutoff_symbol(grid: Grid, m: float) -> np.ndarray:
+    """theta_m's symbol bump(|k|/m) on the grid."""
     if m <= 0:
         raise ValueError(f"cutoff scale m must be positive, got {m}")
-    return apply_symbol(grid, values, bump_symbol(grid.k_modulus / m))
+    return bump_symbol(grid.k_modulus / m)
 
 
 def nyquist_cutoff(grid: Grid) -> float:

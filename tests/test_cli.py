@@ -417,6 +417,16 @@ class TestVerifyIdentities:
         for name in ("mass", "hamiltonian", "lp", "h1"):
             assert float(summary[f"identity_{name}_terminal"]) <= 1e-10
 
+    def test_conservative_phase_columns_are_plus_zero(self, tmp_path):
+        # Re phi_j = 0: H's and L^p's phase sums are 0, written 0.0 and never -0.0
+        cfg = write_cfg(tmp_path, CONSERVATIVE_EXACT_CFG.replace("paths = 8", "paths = 2"))
+        assert main(["verify-identities", "--config", cfg]) == 0
+        for name in ("hamiltonian", "lp"):
+            comment, _, *rows = (tmp_path / "out" / f"identity_{name}.csv").read_text().splitlines()
+            terms = comment.removeprefix("# terms: ").split(",")
+            cols = [2 + terms.index(term) for term in ("qv_phase", "mart_phase")]
+            assert {row.split(",")[c] for row in rows for c in cols} == {"0.0"}
+
     @pytest.mark.parametrize("config,trusted", [("identities", "true"),
                                                 ("conservative_exact", "false")])
     def test_boundary_trust_rule(self, tmp_path, config, trusted):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import snls.config
 from snls.config import (_NOISE_KEYS, _PROBLEM_KEYS, _REQUIRED, _RUN_KEYS, _SCHEMA,
                          _VERIFY_KEYS, ConfigError, InitialSpec, ModeConfig, RunConfig,
                          RunSection, SnapshotError, VerifySection,
                          build_initial, build_noise_model, build_problem,
                          build_grid, parse_config, read_snapshot,
-                         serialize_config, write_snapshot)
+                         serialize_config, write_snapshot, write_table)
 from snls.dynamics import StepFlags
 from snls.spectral import Field, Grid
 
@@ -391,6 +392,18 @@ class TestSnapshots:
         p.write_bytes(b"XXXX" + bytes(100))
         with pytest.raises(SnapshotError, match="magic"):
             read_snapshot(p)
+
+
+class TestTables:
+    @pytest.mark.parametrize("block", [3, 64])
+    def test_values_are_the_reprs_of_python_numbers(self, tmp_path, monkeypatch, block):
+        # written a block of rows at a time, each value as the hand loop wrote it: ints as ints
+        monkeypatch.setattr(snls.config, "TABLE_BLOCK_ROWS", block)
+        x = np.array([0.1, -0.0, np.nan, np.inf, 1e16, 1e-7, -2.5, 1e15, 3.0, 1 / 3])
+        write_table(tmp_path / "t.csv", {"level": list(range(10)), "x": x}, comment="note")
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines[:2] == ["# note", "level,x"]
+        assert lines[2:] == [f"{i},{float(v)!r}" for i, v in enumerate(x)]
 
 
 class TestBuildProblem:

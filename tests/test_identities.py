@@ -99,6 +99,17 @@ class TestReportStructure:
         assert lines[1].startswith("t,residual,term_1")
         assert len(lines) == 2 + len(rep.times)
 
+    def test_csv_without_terms_names_only_its_columns(self, tmp_path):
+        # deterministic mass: no term series, so a header of two names over rows of two values
+        spec = det_spec()
+        path = sample_path(spec.model, 0.25, 20, seed=1)
+        rep = mass_identity(solve_direct(gaussian(), path, spec, STRIDE1), path, spec.model)
+        assert rep.terms == {}
+        rep.to_csv(tmp_path / "mass.csv")
+        comment, header, *rows = (tmp_path / "mass.csv").read_text().splitlines()
+        assert (comment, header) == ("# terms: ", "t,residual")
+        assert len(rows) == len(rep.times) and all(len(r.split(",")) == 2 for r in rows)
+
 
 class TestChunking:
     """Snapshots are stacked in the solver's chunks of chunk_steps(1, grid) rows (32 at n = 64
@@ -161,17 +172,18 @@ class TestChunking:
 def test_kernel_calls_per_direct_step_and_identity_chunk(monkeypatch):
     """One transform call per axis and direction: a direct step makes 2, and a chunk of
     snapshots with one noise mode 0 for mass, 6 for H (its H^1 rows, X-hat shared by
-    |grad X|^2 and grad X), 2 for L^p and 10 for H^1, and 10 for all four in one pass (the
-    identity ladder's), which makes each shared transform once.  grad X is transformed only
-    when a term reads it, and H reads H^1's lam_drift only with the dispersive substep off."""
+    |grad X|^2 and grad X), 2 for L^p and 8 for H^1 (grad theta_m g is one multiplier of g),
+    and 8 for all four in one pass (the identity ladder's), which makes each shared transform
+    once.  grad X is transformed only when a term reads it, and H reads H^1's lam_drift only
+    with the dispersive substep off."""
     cases = [  # spec, flags, calls per identity, calls for all four
         (noisy_spec(mu=0.8 + 0.3j, lam=1), StepFlags(),
-         {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 10}, 10),
-        (det_spec(lam=1), StepFlags(), {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 6}, 6),
+         {"mass": 0, "hamiltonian": 6, "lp": 2, "h1": 8}, 8),
+        (det_spec(lam=1), StepFlags(), {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 4}, 4),
         (det_spec(lam=1), StepFlags(nonlinear=False),
          {"mass": 0, "hamiltonian": 1, "lp": 2, "h1": 1}, 2),
         (det_spec(lam=1), StepFlags(linear=False),
-         {"mass": 0, "hamiltonian": 6, "lp": 0, "h1": 6}, 6),
+         {"mass": 0, "hamiltonian": 4, "lp": 0, "h1": 4}, 4),
     ]
     calls, kernels = [], (snls.spectral.fft_kernel, snls.spectral.ifft_kernel)
     for name, kernel in zip(("fft_kernel", "ifft_kernel"), kernels):
@@ -330,6 +342,14 @@ class TestH1Identity:
         for m in (2.0, 5.0, None):
             rep = h1_identity(traj, path, spec.model, spec, m=m)
             assert rep.residual[0] == 0.0
+
+    @pytest.mark.parametrize("m", [0.0, -1.0])
+    def test_non_positive_cutoff_scale_is_an_error(self, m):
+        spec = noisy_spec()
+        path = sample_path(spec.model, 0.25, 10, seed=2)
+        traj = solve_direct(gaussian(), path, spec, STRIDE1)
+        with pytest.raises(ValueError, match="cutoff scale m must be positive"):
+            h1_identity(traj, path, spec.model, spec, m=m)
 
 
 class TestCoupledRefinementOrders:
