@@ -79,6 +79,7 @@ def cmd_simulate(args) -> int:
         for _, _, X in each_chunk(solve_chunks(x, [path], spec, solve_options(cfg), scheme), trajs):
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
                 ratios.append(np.max(boundary_ratios(spec.grid, np.abs(X.rows()))))
+            del X   # not held while the next chunk is solved
         (traj,) = trajs
         diag = {name: traj.diagnostic(name) for name in ("mass", "hamiltonian", "h1")}
         write_table(os.path.join(out, f"diagnostics_{scheme}.csv"),

@@ -7,9 +7,9 @@ its block nor its block-mates; the reduction is an ordered fold by path index
 and ensemble reports are bit-reproducible for a fixed (master seed, config).
 The identity ladder, the continuity probe and convergence_order loop over
 solve_chunks' kept rows as X while they are solved (the ladder makes all four
-identities' terms in one identity_terms pass per chunk); convergence_order keeps
-only the rows some level has not yet passed, advancing its levels side by side
-for the sup-in-t error and one after another at the horizon.
+identities' terms in one identity_terms pass per chunk); convergence_order zips
+its levels' rows by compared base-grid time, one group of rows per time, side by
+side for the sup-in-t error and one after another at the horizon.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -268,44 +269,40 @@ class ConvergenceReport:
         yield f"convergence_inconclusive={str(self.inconclusive).lower()}"
 
 
+def _compared_rows(solve, stride: int, finished: np.ndarray):
+    """One level's kept rows at time indices i * stride, as X, in one (b, X) group per i in
+    time order; when the solve ends, clears `finished` for each path it did not finish."""
+    trajectories = []
+    for t, b, X in each_chunk(solve, trajectories):
+        due = np.flatnonzero(t % stride == 0)   # a chunk's rows are in time order
+        for rows in np.split(due, np.flatnonzero(np.diff(t[due])) + 1) if len(due) else ():
+            yield b[rows], X[rows].rows()
+        del t, b, X   # not held while the next chunk is solved
+    finished &= [traj.status.kind == "finished" for traj in trajectories]
+
+
 def _convergence_block(x: Field, spec: ProblemSpec, config: EnsembleConfig,
                        sup_over_time: bool, ids) -> list:
     """Per path, its error at each coarser level, or None if it did not finish every level.
-    For each compared base index i, finest level first, each level is pulled until it has
-    passed i (row i * strides[l] at level l), and at the last i to its end; each coarser level's
-    X at base indices up to i then raises a running max of its L2 distance to the finest's, and
-    those rows go.  At the horizon, the only i, the levels so run one after another."""
+    The levels' groups at each compared base index are zipped, finest first, and each coarser
+    level's X raises a running max of its L2 distance to the finest's on the paths both have:
+    side by side for the sup-in-t error, each level to its end in turn at the horizon."""
     B, opts = len(ids), replace(config.options, record_snapshots=False)
-    solves = [solve_chunks(x, paths, spec, opts, config.scheme) for paths in ladder_paths(
-        spec.model, spec.T, config.n_steps, config.seed, ids, config.levels)]
-    # sup-in-t compares at every base-grid time; the default at the horizon only
-    strides = [2 ** lv * (1 if sup_over_time else config.n_steps) for lv in range(config.levels)]
-    last = config.n_steps if sup_over_time else 1   # the last compared base index
-    passed = np.full(config.levels, -1.0)   # the base time each level's rows have reached
-    # each level's rows not yet compared, as base index * B + path and X, in that order
-    waiting = [(np.empty(0, dtype=int), np.empty((0, *spec.grid.shape), complex))] * config.levels
-    errors = np.zeros((B, config.levels - 1))
-    finished = np.ones(B, dtype=bool)
-    for i in range(last + 1) if sup_over_time else [last]:
-        for level in reversed(range(config.levels)):
-            while passed[level] < (i if i < last else math.inf):
-                try:
-                    t, b, X = next(solves[level])
-                except StopIteration as done:
-                    finished &= [traj.status.kind == "finished" for traj in done.value]
-                    passed[level] = math.inf
-                    continue
-                passed[level], due = t[-1] / strides[level], t % strides[level] == 0
-                waiting[level] = [np.concatenate(pair) for pair in zip(
-                    waiting[level], (t[due] // strides[level] * B + b[due], X[due].rows()))]
-        n = [np.searchsorted(key, (i + 1) * B) for key, _ in waiting]   # the rows up to base index i
-        top, finest = (a[:n[-1]] for a in waiting[-1])
-        for level, ((key, rows), m) in enumerate(zip(waiting[:-1], n)):
-            _, mine, theirs = np.intersect1d(key[:m], top, assume_unique=True, return_indices=True)
+    errors, finished = np.zeros((B, config.levels - 1)), np.ones(B, dtype=bool)
+    # sup-in-t compares at every base-grid time; the default at t = 0 and the horizon
+    readers = [_compared_rows(solve_chunks(x, paths, spec, opts, config.scheme),
+                              2 ** level * (1 if sup_over_time else config.n_steps), finished)
+               for level, paths in enumerate(ladder_paths(spec.model, spec.T, config.n_steps,
+                                                          config.seed, ids, config.levels))]
+    readers = readers[::-1] if sup_over_time else map(list, readers[::-1])
+    ended = (np.empty(0, dtype=int), np.empty((0, *spec.grid.shape), complex))
+    for (top, finest), *groups in zip_longest(*readers, fillvalue=ended):
+        for level, (b, rows) in enumerate(reversed(groups)):
+            _, mine, theirs = np.intersect1d(b, top, assume_unique=True, return_indices=True)
             with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
                 diff = np.abs(rows[mine] - finest[theirs]) ** 2
-                np.maximum.at(errors[:, level], key[mine] % B, np.sqrt(quadrature(spec.grid, diff)))
-        waiting = [(key[m:], rows[m:].copy()) for m, (key, rows) in zip(n, waiting)]
+                np.maximum.at(errors[:, level], b[mine], np.sqrt(quadrature(spec.grid, diff)))
+        del top, finest, groups, b, rows, diff   # not held while the next groups are read
     return [e if ok else None for e, ok in zip(errors, finished)]
 
 
@@ -379,6 +376,7 @@ def _identity_block(x: Field, spec: ProblemSpec, config: EnsembleConfig, ids) ->
                                                  config.options.flags, IDENTITY_NAMES).items():
                     for key, r in rows.items():
                         series[name][key][b, t] = r
+            del t, b, X, rows   # not held while the next chunk is solved
         for b, (traj, path, m) in enumerate(zip(trajs, paths, count)):
             # a path's reports end at its last row handed over: before a numeric failure
             reports = {name: identity_report(name, path.times[:m], path,
@@ -434,6 +432,7 @@ def _continuity_block(x: Field, deltas: list, spec: ProblemSpec, config: Ensembl
         with np.errstate(over="ignore", invalid="ignore"):   # a row whose e^W overflowed
             for diffs in np.subtract(X[:, :, 1:], X[:, :, :1]):
                 np.maximum(sup, [[h1_norm(Field(spec.grid, u)) for u in d] for d in diffs], out=sup)
+        del t, b, X, diffs   # not held while the next chunk is solved
     for a, traj in enumerate(trajs):
         if traj.status.kind != "finished":
             run = f"delta={deltas[a % len(starts) - 1]}" if a % len(starts) else "base"

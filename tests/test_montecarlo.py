@@ -29,9 +29,14 @@ def gaussian(amp=1.0, grid=GRID, width=1.0):
     return Field(grid, amp * np.exp(-grid.meshes[0] ** 2 / (2.0 * width ** 2)))
 
 
-def spec_with_mode(mu, lam=-1, T=0.25, grid=GRID):
-    model = build_model([NoiseMode(mu, GaussianProfile(1.0, 3.0, (0, 0, 0)))], grid)
+def spec_with_modes(mus, lam=-1, T=0.25, grid=GRID):
+    model = build_model([NoiseMode(mu, GaussianProfile(1.0, 3.0 - j, (j, 0, 0)))
+                         for j, mu in enumerate(mus)], grid)
     return ProblemSpec(grid, model, 3.0, lam, T)
+
+
+def spec_with_mode(mu, lam=-1, T=0.25, grid=GRID):
+    return spec_with_modes((mu,), lam, T, grid)
 
 
 def det_spec(alpha=3.0, lam=1, T=0.25, grid=GRID):
@@ -279,6 +284,35 @@ class TestMomentMonitor:
         assert mom.divergent
 
 
+def hand_convergence_errors(x, spec, config, sup_over_time, ladder=None):
+    """Reference for convergence_order: the strong errors of each path that finishes every
+    level, from its X at the compared times, solved alone at each level on its sample_path
+    refined once per level, or on the path that `ladder` (ladder_paths' signature) gives it."""
+    solve = solve_direct if config.scheme == "direct" else solve_rescaled
+    errs = []
+    for pid in range(config.n_paths):
+        if ladder is None:
+            levels = [sample_path(spec.model, spec.T, config.n_steps, config.seed, pid)]
+            for _ in range(config.levels - 1):
+                levels.append(refine_path(levels[-1]))
+        else:
+            levels = [path for (path,) in ladder(spec.model, spec.T, config.n_steps, config.seed,
+                                                 [pid], config.levels)]
+        finals = []
+        for level, path in enumerate(levels):
+            stride = 2 ** level if sup_over_time else path.n_steps
+            traj = solve(x, path, spec, replace(config.options, record_snapshots=True,
+                                                stride=stride))
+            X = (rescaled_to_X(traj, path, spec.model) if config.scheme == "rescaled"
+                 else traj.snapshots)
+            finals.append(np.stack([s.values for s in X])
+                          if traj.status.kind == "finished" else None)
+        if all(f is not None for f in finals):
+            errs.append([float(np.max(np.sqrt(quadrature(spec.grid, np.abs(f - finals[-1]) ** 2))))
+                         for f in finals[:-1]])
+    return errs
+
+
 class TestConvergenceOrder:
     def test_deterministic_strang_order(self):
         spec = det_spec(lam=1, T=0.25)
@@ -342,37 +376,84 @@ class TestConvergenceOrder:
         assert not sup.inconclusive
 
     def test_unfinished_path_left_out(self):
-        # both schemes, horizon and sup-in-t errors, widths 1 and 2; the rescaled
-        # scheme's cap is on y, whose H1 passes its start only on a focusing problem
-        for scheme, sup_over_time, width in product(("direct", "rescaled"), (False, True), (1, 2)):
+        # one real mode, one complex mode and two modes; both schemes, horizon and sup-in-t
+        # errors, widths 1 and 2; the rescaled scheme's cap is on y, whose H1 passes its
+        # start only on a focusing problem
+        for mus, scheme, sup_over_time, width in product(
+                ((1.0 + 0j,), (0.6 + 0.5j,), (1.0 + 0j, 0.3j)), ("direct", "rescaled"),
+                (False, True), (1, 2)):
             lam, x = (-1, gaussian()) if scheme == "direct" else (1, gaussian(2.0))
-            spec = spec_with_mode(1.0 + 0j, lam=lam)
+            spec = spec_with_modes(mus, lam=lam)
             base = dict(n_paths=6, seed=3, n_steps=50, levels=3, width=width, scheme=scheme)
             thresholds = one_crossing_thresholds(x, spec, EnsembleConfig(**base, options=NOSNAP))
-            opts = SolveOptions(record_snapshots=False, thresholds=thresholds)
-            rep = convergence_order(x, spec, EnsembleConfig(**base, options=opts), sup_over_time)
+            config = EnsembleConfig(**base, options=SolveOptions(record_snapshots=False,
+                                                                 thresholds=thresholds))
+            rep = convergence_order(x, spec, config, sup_over_time)
             assert rep.unfinished_paths == 1 and rep.inconclusive
             assert "convergence_unfinished_paths=1" in rep.summary_lines()
-            # reference: the strong errors of the paths that finished every level, from
-            # each path's X at the compared times, solved alone
-            solve = solve_direct if scheme == "direct" else solve_rescaled
-            errs = []
-            for pid in range(6):
-                path = sample_path(spec.model, spec.T, 50, 3, pid)
-                finals = []
-                for level in range(3):
-                    stride = 2 ** level if sup_over_time else path.n_steps
-                    traj = solve(x, path, spec, replace(opts, record_snapshots=True, stride=stride))
-                    X = (rescaled_to_X(traj, path, spec.model) if scheme == "rescaled"
-                         else traj.snapshots)
-                    finals.append(np.stack([s.values for s in X])
-                                  if traj.status.kind == "finished" else None)
-                    path = refine_path(path)
-                if all(f is not None for f in finals):
-                    errs.append([float(np.max(np.sqrt(quadrature(GRID, np.abs(f - finals[-1]) ** 2))))
-                                 for f in finals[:-1]])
+            errs = hand_convergence_errors(x, spec, config, sup_over_time)
             assert len(errs) == 5
-            assert rep.errors == np.mean(errs, axis=0).tolist(), (scheme, sup_over_time, width)
+            assert rep.errors == np.mean(errs, axis=0).tolist(), (mus, scheme, sup_over_time, width)
+
+    @pytest.mark.parametrize("scheme,sup_over_time", product(("direct", "rescaled"), (False, True)))
+    def test_a_finest_level_that_ends_early_drains_every_level(self, monkeypatch, scheme,
+                                                               sup_over_time):
+        # every finest-level path takes an increment of 1e3 at its third step and stops, while
+        # the coarser levels finish: the finest level's rows end early, every level's solve
+        # still runs to its end, and no path finishing every level is a RegimeError
+        sampled, solve_chunks = snls.montecarlo.ladder_paths, snls.montecarlo.solve_chunks
+        drained = []   # per level whose solve ran to its end: its paths' finished flags
+
+        def failing(*args):
+            for paths in sampled(*args):
+                if paths[0].level == args[5] - 1:
+                    for path in paths:
+                        path.increments[2] = 1e3
+                yield paths
+
+        def draining(x, paths, *args):
+            trajectories = yield from solve_chunks(x, paths, *args)
+            drained.append((paths[0].level, [tr.status.kind == "finished" for tr in trajectories]))
+            return trajectories
+
+        monkeypatch.setattr(snls.montecarlo, "ladder_paths", failing)
+        monkeypatch.setattr(snls.montecarlo, "solve_chunks", draining)
+        config = EnsembleConfig(n_paths=3, seed=4, n_steps=20, levels=3, width=1, options=NOSNAP,
+                                scheme=scheme)
+        with np.errstate(over="raise", invalid="raise"):
+            caller = np.geterr()
+            with pytest.raises(RegimeError):
+                convergence_order(gaussian(), spec_with_mode(1.0 + 0j, T=0.05), config,
+                                  sup_over_time)
+            assert np.geterr() == caller
+        assert sorted(drained) == [(0, [True] * 3), (1, [True] * 3), (2, [False] * 3)]
+
+    @pytest.mark.parametrize("scheme,sup_over_time", product(("direct", "rescaled"), (False, True)))
+    def test_a_path_missing_at_the_coarsest_level_is_left_out(self, monkeypatch, scheme,
+                                                              sup_over_time):
+        # path 1 takes an increment of 1e3 at its eleventh step at the coarsest level only (the
+        # finer levels refine the untouched paths) and stops there: the coarsest level's later
+        # groups lack it, and the errors are those of the paths that finished every level
+        sampled = snls.montecarlo.ladder_paths
+
+        def failing(*args):
+            for paths in sampled(*args):
+                if paths[0].level == 0:
+                    paths = [replace(path, increments=path.increments.copy()) for path in paths]
+                    for path in paths:
+                        if path.path_id == 1:
+                            path.increments[10] = 1e3
+                yield paths
+
+        monkeypatch.setattr(snls.montecarlo, "ladder_paths", failing)
+        spec, x = spec_with_mode(1.0 + 0j, T=0.05), gaussian()
+        config = EnsembleConfig(n_paths=4, seed=4, n_steps=20, levels=3, width=1, options=NOSNAP,
+                                scheme=scheme)
+        rep = convergence_order(x, spec, config, sup_over_time)
+        assert rep.unfinished_paths == 1 and rep.inconclusive
+        errs = hand_convergence_errors(x, spec, config, sup_over_time, ladder=failing)
+        assert len(errs) == 3
+        assert rep.errors == np.mean(errs, axis=0).tolist()
 
     def test_rescaled_errors_are_of_X(self):
         # reference: each path's terminal X = e^W y per level, solved alone
@@ -675,9 +756,9 @@ class TestStreamingMemory:
         config = EnsembleConfig(n_paths=16, seed=2, n_steps=100, levels=3, width=1)
         convergence_order(x, spec, replace(config, n_paths=1, n_steps=4), True)   # fills the caches
         # the three levels run side by side: their 5 diagnostic series per row-time and
-        # each level's chunk of working arrays; a row of X waits only until every level
-        # has passed its time.  Measured 2.14 MB; a store of the finest level's X at the
-        # 101 base-grid times would add 1.65 MB.
+        # each level's chunk of working arrays; each level's rows at one base-grid time are
+        # compared as one group and then dropped.  Measured 1.77 MB; a store of the finest
+        # level's X at the 101 base-grid times would add 1.65 MB.
         series = 16 * (101 + 201 + 401) * 8 * 5
         peak = traced_peak(convergence_order, x, spec, config, True)
         assert peak <= series + 14 * self.CHUNK
@@ -688,6 +769,17 @@ class TestStreamingMemory:
         config = EnsembleConfig(n_paths=16, seed=2, n_steps=100, levels=3, width=1)
         convergence_order(x, spec, replace(config, n_paths=1, n_steps=4))   # fills the caches
         # one level is solved at a time, finest first: its 5 diagnostic series and its chunks'
-        # working arrays.  Measured 1.24 MB; three levels solved side by side read 1.87 MB.
+        # working arrays.  Measured 1.11 MB; three levels solved side by side read 1.87 MB.
         finest = 16 * 401 * 8 * 5
         assert traced_peak(convergence_order, x, spec, config) <= finest + 8 * self.CHUNK
+
+    @pytest.mark.parametrize("sup_over_time,mib", [(True, 8), (False, 5)])
+    def test_convergence_order_peaks_of_the_readme(self, sup_over_time, mib):
+        # 32 paths over 400 base steps on a 256-point line at 3 levels, the README's case.
+        # Measured 7.66 MiB with the sup-in-t error and 4.85 MiB at the horizon (7.85 and
+        # 4.97 MiB when each level's rows waited in a buffer until every level passed them).
+        grid = Grid(1, 256, 32.0)
+        spec, x = spec_with_mode(1.0 + 0j, T=0.2, grid=grid), gaussian(grid=grid)
+        config = EnsembleConfig(n_paths=32, seed=2, n_steps=400, levels=3, width=1)
+        convergence_order(x, spec, replace(config, n_paths=1, n_steps=4), sup_over_time)
+        assert traced_peak(convergence_order, x, spec, config, sup_over_time) <= mib * 2 ** 20

@@ -1,5 +1,5 @@
 """Every study script in scripts/ still imports and parses its arguments, and the cutoff
-sweep and the output digests run end to end."""
+sweep, the output digests and the convergence digests run end to end."""
 
 import hashlib
 import math
@@ -88,3 +88,20 @@ def test_output_digests_runs(tmp_path):
     for name in ("diagnostics_direct.csv", "snapshot_direct_000010.bin"):
         data = (tmp_path / "out" / name).read_bytes()
         assert digests["simulate", name] == hashlib.sha256(data).hexdigest()
+
+
+def test_convergence_digests_runs():
+    # 4 problems x 2 schemes x horizon/sup x widths 1 and 2, one line each; a case's
+    # line does not depend on its width, and only the capped problem leaves a path out
+    lines = [line.split() for line in run(ROOT / "scripts" / "convergence_digests.py"
+                                          ).splitlines()]
+    assert len(lines) == 32 and all(len(fields) == 8 for fields in lines)
+    assert {tuple(fields[:3]) for fields in lines} == {
+        (p, s, e) for p in ("real", "complex", "zero-mode", "one-unfinished")
+        for s in ("direct", "rescaled") for e in ("horizon", "sup")}
+    for narrow, wide in zip(lines[::2], lines[1::2]):
+        assert (narrow[3], wide[3]) == ("width=1", "width=2")
+        assert narrow[:3] + narrow[4:] == wide[:3] + wide[4:]
+        errors = [float.fromhex(e) for e in narrow[4].removeprefix("errors=").split(",")]
+        assert len(errors) == 2 and all(math.isfinite(e) and e > 0 for e in errors)
+        assert narrow[6] == f"unfinished={int(narrow[0] == 'one-unfinished')}"
